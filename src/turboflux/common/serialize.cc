@@ -8,52 +8,6 @@
 namespace turboflux {
 namespace bin {
 
-void PutU8(std::string& buf, uint8_t v) {
-  buf.push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string& buf, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& buf, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-bool Reader::GetU8(uint8_t* v) {
-  if (remaining() < 1) return false;
-  *v = static_cast<uint8_t>(data_[pos_++]);
-  return true;
-}
-
-bool Reader::GetU32(uint32_t* v) {
-  if (remaining() < 4) return false;
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 4;
-  *v = out;
-  return true;
-}
-
-bool Reader::GetU64(uint64_t* v) {
-  if (remaining() < 8) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 8;
-  *v = out;
-  return true;
-}
-
 bool Reader::GetLength(uint32_t* n, uint64_t max_elems) {
   uint32_t len = 0;
   if (!GetU32(&len)) return false;
@@ -64,25 +18,52 @@ bool Reader::GetLength(uint32_t* n, uint64_t max_elems) {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// kCrcTables[0] is the classic byte-at-a-time table; kCrcTables[k][b] is
+// the CRC contribution of byte b followed by k zero bytes, so one lookup
+// per byte folds a 16-byte block with no dependency between lookups.
+constexpr size_t kSlice = 16;
+using CrcTables = std::array<std::array<uint32_t, 256>, kSlice>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < kSlice; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+// Folds the little-endian word at block offset kSlice-4-slot. Byte j of a
+// block takes table kSlice-1-j, so the word's four bytes take tables
+// slot+3 down to slot.
+inline uint32_t FoldWord(uint32_t w, size_t slot) {
+  const CrcTables& t = kCrcTables;
+  return t[slot + 3][w & 0xff] ^ t[slot + 2][(w >> 8) & 0xff] ^
+         t[slot + 1][(w >> 16) & 0xff] ^ t[slot][w >> 24];
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
+  const char* p = data.data();
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (char ch : data) {
-    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xff] ^ (crc >> 8);
+  for (; n >= kSlice; p += kSlice, n -= kSlice) {
+    crc = FoldWord(LoadU32(p) ^ crc, 12) ^ FoldWord(LoadU32(p + 4), 8) ^
+          FoldWord(LoadU32(p + 8), 4) ^ FoldWord(LoadU32(p + 12), 0);
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kCrcTables[0][(crc ^ static_cast<uint8_t>(*p)) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -18,9 +18,51 @@ namespace bin {
 /// the payload, so corrupted length fields fail cleanly instead of
 /// crashing.
 
-void PutU8(std::string& buf, uint8_t v);
-void PutU32(std::string& buf, uint32_t v);
-void PutU64(std::string& buf, uint64_t v);
+/// Little-endian loads from raw bytes. The shift-and-or form is
+/// byte-order independent and compiles to one load on little-endian hosts.
+inline uint32_t LoadU32(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<uint32_t>(b[0]) | static_cast<uint32_t>(b[1]) << 8 |
+         static_cast<uint32_t>(b[2]) << 16 | static_cast<uint32_t>(b[3]) << 24;
+}
+
+inline uint64_t LoadU64(const char* p) {
+  return static_cast<uint64_t>(LoadU32(p)) |
+         static_cast<uint64_t>(LoadU32(p + 4)) << 32;
+}
+
+/// Stores `v` little-endian at `p` and returns the position after it.
+/// Encoders that size their buffer once fill it in place with these.
+inline char* StoreU32(char* p, uint32_t v) {
+  p[0] = static_cast<char>(v);
+  p[1] = static_cast<char>(v >> 8);
+  p[2] = static_cast<char>(v >> 16);
+  p[3] = static_cast<char>(v >> 24);
+  return p + 4;
+}
+
+inline char* StoreU64(char* p, uint64_t v) {
+  p = StoreU32(p, static_cast<uint32_t>(v));
+  return StoreU32(p, static_cast<uint32_t>(v >> 32));
+}
+
+/// Appends `v` in little-endian order as one bulk append (one capacity
+/// check instead of one per byte).
+inline void PutU8(std::string& buf, uint8_t v) {
+  buf.push_back(static_cast<char>(v));
+}
+
+inline void PutU32(std::string& buf, uint32_t v) {
+  char b[4];
+  StoreU32(b, v);
+  buf.append(b, sizeof(b));
+}
+
+inline void PutU64(std::string& buf, uint64_t v) {
+  char b[8];
+  StoreU64(b, v);
+  buf.append(b, sizeof(b));
+}
 
 /// Bounds-checked cursor over an encoded payload. Every Get returns false
 /// (leaving the output untouched) once the payload is exhausted.
@@ -28,9 +70,33 @@ class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
 
-  bool GetU8(uint8_t* v);
-  bool GetU32(uint32_t* v);
-  bool GetU64(uint64_t* v);
+  bool GetU8(uint8_t* v) {
+    if (remaining() < 1) return false;
+    *v = static_cast<uint8_t>(data_[pos_++]);
+    return true;
+  }
+  bool GetU32(uint32_t* v) {
+    if (remaining() < 4) return false;
+    *v = LoadU32(data_.data() + pos_);
+    pos_ += 4;
+    return true;
+  }
+  bool GetU64(uint64_t* v) {
+    if (remaining() < 8) return false;
+    *v = LoadU64(data_.data() + pos_);
+    pos_ += 8;
+    return true;
+  }
+
+  /// Bulk read: returns a pointer to the next `n` bytes and advances past
+  /// them, or nullptr (without advancing) when fewer remain. Decoders
+  /// check a whole run of fixed-width fields once, then Load* from it.
+  const char* Take(size_t n) {
+    if (remaining() < n) return nullptr;
+    const char* p = data_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
 
   /// Reads a u32 length field and fails unless at least that many bytes
   /// remain AND the length is at most `max_elems` (corruption guard for
@@ -45,7 +111,10 @@ class Reader {
   size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `data`.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `data`,
+/// computed slice-by-16: sixteen independent table lookups per 16-byte
+/// block instead of a dependent chain of one per byte, with the same
+/// values as the byte-wise Sarwate loop.
 uint32_t Crc32(std::string_view data);
 
 /// Section framing: tag (u32), payload size (u64), payload bytes, CRC32 of

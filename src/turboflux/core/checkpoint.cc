@@ -79,55 +79,57 @@ Status TurboFluxEngine::WriteStateSections(std::ostream& out,
   }
   const QueryGraph& q = *q_;
 
-  std::string meta;
-  bin::PutU64(meta, applied_ops_);
-  bin::PutU8(meta,
+  // One buffer, reused by every section (clear() keeps its capacity); it
+  // is released when the call returns.
+  std::string buf;
+  bin::PutU64(buf, applied_ops_);
+  bin::PutU8(buf,
              options_.semantics == MatchSemantics::kIsomorphism ? 1 : 0);
   bin::PutU8(
-      meta,
+      buf,
       options_.order_policy == TurboFluxOptions::OrderPolicy::kBfs ? 1 : 0);
-  Status st = bin::WriteSection(out, kSectionMeta, meta);
+  Status st = bin::WriteSection(out, kSectionMeta, buf);
   if (!st.ok()) return st;
 
-  std::string qbuf;
-  SerializeQueryGraph(qbuf, q);
-  st = bin::WriteSection(out, kSectionQuery, qbuf);
+  buf.clear();
+  SerializeQueryGraph(buf, q);
+  st = bin::WriteSection(out, kSectionQuery, buf);
   if (!st.ok()) return st;
 
-  std::string tbuf;
-  bin::PutU32(tbuf, tree_.root());
+  buf.clear();
+  bin::PutU32(buf, tree_.root());
   for (QVertexId u = 0; u < q.VertexCount(); ++u) {
     const QueryTree::ParentEdge& pe = tree_.parent_edge(u);
-    bin::PutU32(tbuf, pe.parent);
-    bin::PutU32(tbuf, pe.label);
-    bin::PutU8(tbuf, pe.forward ? 1 : 0);
-    bin::PutU32(tbuf, pe.qedge);
+    bin::PutU32(buf, pe.parent);
+    bin::PutU32(buf, pe.label);
+    bin::PutU8(buf, pe.forward ? 1 : 0);
+    bin::PutU32(buf, pe.qedge);
   }
-  st = bin::WriteSection(out, kSectionTree, tbuf);
+  st = bin::WriteSection(out, kSectionTree, buf);
   if (!st.ok()) return st;
 
   // In a QuerySet snapshot the container persists the shared graph once in
   // its own section; each engine's state then omits the graph entirely.
   if (include_graph) {
-    std::string gbuf;
-    G().Serialize(gbuf);
-    st = bin::WriteSection(out, kSectionGraph, gbuf);
+    buf.clear();
+    G().Serialize(buf);
+    st = bin::WriteSection(out, kSectionGraph, buf);
     if (!st.ok()) return st;
   }
 
-  std::string dbuf;
-  dcg_.Serialize(dbuf);
-  st = bin::WriteSection(out, kSectionDcg, dbuf);
+  buf.clear();
+  dcg_.Serialize(buf);
+  st = bin::WriteSection(out, kSectionDcg, buf);
   if (!st.ok()) return st;
 
-  std::string ebuf;
-  bin::PutU32(ebuf, static_cast<uint32_t>(mo_.size()));
-  for (QVertexId u : mo_) bin::PutU32(ebuf, u);
-  bin::PutU32(ebuf, static_cast<uint32_t>(order_counts_snapshot_.size()));
-  for (uint64_t c : order_counts_snapshot_) bin::PutU64(ebuf, c);
-  bin::PutU64(ebuf, ops_since_adjust_check_);
-  bin::PutU64(ebuf, order_recomputes_);
-  st = bin::WriteSection(out, kSectionEngine, ebuf);
+  buf.clear();
+  bin::PutU32(buf, static_cast<uint32_t>(mo_.size()));
+  for (QVertexId u : mo_) bin::PutU32(buf, u);
+  bin::PutU32(buf, static_cast<uint32_t>(order_counts_snapshot_.size()));
+  for (uint64_t c : order_counts_snapshot_) bin::PutU64(buf, c);
+  bin::PutU64(buf, ops_since_adjust_check_);
+  bin::PutU64(buf, order_recomputes_);
+  st = bin::WriteSection(out, kSectionEngine, buf);
   if (!st.ok()) return st;
   if (!out) return Status::IoError("state section stream write failed");
   return Status::Ok();

@@ -196,6 +196,13 @@ void Dcg::SetState(VertexId from, QVertexId u, VertexId to, DcgState next) {
 }
 
 void Dcg::Serialize(std::string& out) const {
+  // Upper bound on the encoded size, so the appends never reallocate:
+  // header, per populated node its id and two list lengths per query
+  // vertex, and 5 bytes per in- or out-entry (edge_count_ counts
+  // in-entries; out-entries are at most as many, since artificial-root
+  // in-edges have no out mirror).
+  out.reserve(out.size() + 20 + pool_.size() * (4 + 8 * num_qv_) +
+              10 * edge_count_);
   bin::PutU64(out, slot_of_.size());
   bin::PutU32(out, static_cast<uint32_t>(num_qv_));
   bin::PutU64(out, pool_.size());
@@ -260,12 +267,13 @@ Status Dcg::Deserialize(bin::Reader& in, size_t num_data_vertices,
       if (!in.GetLength(&n_in, in.remaining() / 5)) {
         return fail("bad in-list length");
       }
+      const char* p = in.Take(size_t{5} * n_in);
+      if (p == nullptr) return fail("bad in-list length");
       node.in[u].resize(n_in);
-      for (uint32_t k = 0; k < n_in; ++k) {
+      for (uint32_t k = 0; k < n_in; ++k, p += 5) {
         InEdge& e = node.in[u][k];
-        uint8_t raw = 0;
-        if (!in.GetU32(&e.from) || !in.GetU8(&raw) ||
-            !decode_state(raw, &e.state)) {
+        e.from = bin::LoadU32(p);
+        if (!decode_state(static_cast<uint8_t>(p[4]), &e.state)) {
           return fail("bad in edge");
         }
         if (e.from != kArtificialVertex && e.from >= slot_of_.size()) {
@@ -282,12 +290,13 @@ Status Dcg::Deserialize(bin::Reader& in, size_t num_data_vertices,
       if (!in.GetLength(&n_out, in.remaining() / 5)) {
         return fail("bad out-list length");
       }
+      p = in.Take(size_t{5} * n_out);
+      if (p == nullptr) return fail("bad out-list length");
       node.out[u].resize(n_out);
-      for (uint32_t k = 0; k < n_out; ++k) {
+      for (uint32_t k = 0; k < n_out; ++k, p += 5) {
         OutEdge& e = node.out[u][k];
-        uint8_t raw = 0;
-        if (!in.GetU32(&e.to) || !in.GetU8(&raw) ||
-            !decode_state(raw, &e.state)) {
+        e.to = bin::LoadU32(p);
+        if (!decode_state(static_cast<uint8_t>(p[4]), &e.state)) {
           return fail("bad out edge");
         }
         if (e.to >= slot_of_.size()) {

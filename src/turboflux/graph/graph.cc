@@ -1,7 +1,6 @@
 #include "turboflux/graph/graph.h"
 
 #include <algorithm>
-#include <unordered_map>  // tfx-lint: allow(hot-path-map)
 #include <utility>
 
 namespace turboflux {
@@ -47,27 +46,39 @@ bool Graph::HasEdge(VertexId from, EdgeLabel label, VertexId to) const {
 
 namespace {
 
-void SerializeAdjacency(const AdjPool<AdjEntry>& adj, std::string& out) {
+size_t AdjacencyBytes(const AdjPool<AdjEntry>& adj) {
+  size_t bytes = 4 * adj.ListCount();
+  for (size_t v = 0; v < adj.ListCount(); ++v) bytes += 8 * adj.Size(v);
+  return bytes;
+}
+
+char* SerializeAdjacency(const AdjPool<AdjEntry>& adj, char* p) {
   for (size_t v = 0; v < adj.ListCount(); ++v) {
     Span<AdjEntry> entries = adj.View(v);
-    bin::PutU32(out, static_cast<uint32_t>(entries.size()));
+    p = bin::StoreU32(p, static_cast<uint32_t>(entries.size()));
     for (const AdjEntry& e : entries) {
-      bin::PutU32(out, e.other);
-      bin::PutU32(out, e.label);
+      p = bin::StoreU32(p, e.other);
+      p = bin::StoreU32(p, e.label);
     }
   }
+  return p;
 }
 
 }  // namespace
 
 void Graph::Serialize(std::string& out) const {
-  bin::PutU64(out, vertex_labels_.size());
+  // Sized from the same lists the loops below write, then filled in place.
+  size_t bytes = 8 + AdjacencyBytes(out_adj_) + AdjacencyBytes(in_adj_);
+  for (const LabelSet& ls : vertex_labels_) bytes += 4 + 4 * ls.size();
+  const size_t start = out.size();
+  out.resize(start + bytes);
+  char* p = bin::StoreU64(out.data() + start, vertex_labels_.size());
   for (const LabelSet& ls : vertex_labels_) {
-    bin::PutU32(out, static_cast<uint32_t>(ls.size()));
-    for (Label l : ls.labels()) bin::PutU32(out, l);
+    p = bin::StoreU32(p, static_cast<uint32_t>(ls.size()));
+    for (Label l : ls.labels()) p = bin::StoreU32(p, l);
   }
-  SerializeAdjacency(out_adj_, out);
-  SerializeAdjacency(in_adj_, out);
+  p = SerializeAdjacency(out_adj_, p);
+  SerializeAdjacency(in_adj_, p);
 }
 
 Status Graph::Deserialize(bin::Reader& in) {
@@ -83,13 +94,13 @@ Status Graph::Deserialize(bin::Reader& in) {
       *this = Graph();
       return Status::Corruption("graph: bad label count");
     }
-    std::vector<Label> labels(nl);
-    for (uint32_t i = 0; i < nl; ++i) {
-      if (!in.GetU32(&labels[i])) {
-        *this = Graph();
-        return Status::Corruption("graph: truncated vertex labels");
-      }
+    const char* p = in.Take(size_t{4} * nl);
+    if (p == nullptr) {
+      *this = Graph();
+      return Status::Corruption("graph: truncated vertex labels");
     }
+    std::vector<Label> labels(nl);
+    for (uint32_t i = 0; i < nl; ++i) labels[i] = bin::LoadU32(p + 4 * i);
     vertex_labels_.emplace_back(std::move(labels));
   }
   // Both adjacency directions are stored verbatim; out-adjacency also
@@ -102,13 +113,13 @@ Status Graph::Deserialize(bin::Reader& in) {
       if (!in.GetLength(&deg, in.remaining() / 8)) {
         return Status::Corruption("graph: bad adjacency length");
       }
-      for (uint32_t i = 0; i < deg; ++i) {
-        AdjEntry e;
-        if (!in.GetU32(&e.other) || !in.GetU32(&e.label)) {
-          return Status::Corruption("graph: truncated adjacency entry");
-        }
+      const char* p = in.Take(size_t{8} * deg);
+      if (p == nullptr) {
+        return Status::Corruption("graph: truncated adjacency entry");
+      }
+      for (uint32_t i = 0; i < deg; ++i, p += 8) {
+        const AdjEntry e{bin::LoadU32(p), bin::LoadU32(p + 4)};
         if (e.other >= nv) {
-          *this = Graph();
           return Status::Corruption("graph: adjacency vertex out of range");
         }
         adj.PushBack(v, e);
@@ -152,50 +163,58 @@ std::string Graph::CheckConsistency() const {
   if (pool.empty()) pool = in_adj_.CheckConsistency();
   if (pool.empty()) pool = pair_index_.CheckConsistency();
   if (!pool.empty()) return pool;
-  // Every in-adjacency entry must consume exactly one out-adjacency edge.
-  // Validation-only scratch, not a probe path (the probe path is
-  // pair_index_); a std map keyed by the packed pair is fine here.
-  // tfx-lint: allow(hot-path-map)
-  std::unordered_map<uint64_t, std::vector<std::pair<EdgeLabel, int>>>
-      counts;
+  // A (from, label, to) triple's repeats can only sit in one list (its
+  // source's out-list, its target's in-list), so sorting a copy of each
+  // list in one reused scratch buffer finds duplicates without a per-edge
+  // map. Every out-entry is probed in the pair index; with no duplicate
+  // out-entries, the label count at the end proves the index holds
+  // nothing else.
+  std::vector<AdjEntry> scratch;
+  auto has_duplicate = [&scratch](AdjView list) {
+    if (list.size() < 2) return false;
+    scratch.assign(list.begin(), list.end());
+    auto less = [](const AdjEntry& a, const AdjEntry& b) {
+      return a.other != b.other ? a.other < b.other : a.label < b.label;
+    };
+    std::sort(scratch.begin(), scratch.end(), less);
+    return std::adjacent_find(scratch.begin(), scratch.end()) !=
+           scratch.end();
+  };
   size_t out_total = 0;
   for (VertexId v = 0; v < out_adj_.ListCount(); ++v) {
-    for (const AdjEntry& e : out_adj_.View(v)) {
-      std::vector<std::pair<EdgeLabel, int>>& slot =
-          counts[FlatPairTable::MakeKey(v, e.other)];
-      for (const std::pair<EdgeLabel, int>& p : slot) {
-        if (p.first == e.label) return "duplicate (from,label,to) edge";
+    AdjView list = out_adj_.View(v);
+    if (has_duplicate(list)) return "duplicate (from,label,to) edge";
+    for (const AdjEntry& e : list) {
+      if (!pair_index_.Contains(FlatPairTable::MakeKey(v, e.other),
+                                e.label)) {
+        return "out-adjacency edge missing from pair index";
       }
-      slot.emplace_back(e.label, 1);
-      ++out_total;
     }
+    out_total += list.size();
   }
+  // Every in-entry must mirror a distinct out-edge: each one is in the
+  // (now verified) pair index, none repeats, and the totals agree — so an
+  // in-list holding one edge twice and another not at all is rejected.
+  size_t in_total = 0;
   for (VertexId v = 0; v < in_adj_.ListCount(); ++v) {
-    for (const AdjEntry& e : in_adj_.View(v)) {
-      auto it = counts.find(FlatPairTable::MakeKey(e.other, v));
-      if (it == counts.end()) return "in-adjacency entry without out mirror";
-      bool matched = false;
-      for (std::pair<EdgeLabel, int>& p : it->second) {
-        if (p.first == e.label && p.second > 0) {
-          --p.second;
-          matched = true;
-          break;
-        }
+    AdjView list = in_adj_.View(v);
+    if (has_duplicate(list)) return "duplicate in-adjacency entry";
+    for (const AdjEntry& e : list) {
+      if (!pair_index_.Contains(FlatPairTable::MakeKey(e.other, v),
+                                e.label)) {
+        return "in-adjacency entry without out mirror";
       }
-      if (!matched) return "in-adjacency entry without out mirror";
     }
+    in_total += list.size();
   }
-  size_t in_total = in_adj_.LiveEntries();
   if (in_total != out_total) return "in/out adjacency totals differ";
   if (out_total != edge_count_) return "edge_count_ mismatch";
-  // The pair index must cover exactly the out-adjacency.
   size_t indexed = 0;
   std::string index_violation;
   pair_index_.ForEach([&](uint64_t key, FlatPairTable::LabelView labels) {
     if (!index_violation.empty()) return;
-    VertexId from = FlatPairTable::KeyFrom(key);
-    VertexId to = FlatPairTable::KeyTo(key);
-    if (from >= out_adj_.ListCount() || to >= out_adj_.ListCount()) {
+    if (FlatPairTable::KeyFrom(key) >= out_adj_.ListCount() ||
+        FlatPairTable::KeyTo(key) >= out_adj_.ListCount()) {
       index_violation = "pair index key out of range";
       return;
     }
@@ -203,20 +222,7 @@ std::string Graph::CheckConsistency() const {
       index_violation = "empty label list in pair index";
       return;
     }
-    for (EdgeLabel l : labels) {
-      bool found = false;
-      for (const AdjEntry& e : out_adj_.View(from)) {
-        if (e.other == to && e.label == l) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        index_violation = "pair index entry without out-adjacency edge";
-        return;
-      }
-      ++indexed;
-    }
+    indexed += labels.size();
   });
   if (!index_violation.empty()) return index_violation;
   if (indexed != out_total) return "pair index size mismatch";

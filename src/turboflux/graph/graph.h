@@ -121,8 +121,9 @@ class Graph {
   /// out-adjacency edge-for-edge, the (from, to) -> labels index matches
   /// both, edge_count_ equals a recount, and the pool/table internals
   /// self-validate. Returns an empty string when consistent, else a
-  /// description of the first violation. O(|E|); meant for tests and
-  /// snapshot validation.
+  /// description of the first violation. O(|E| log d) for largest degree
+  /// d, with one reused scratch buffer (DESIGN.md §3.7 lists the
+  /// invariants); meant for tests and snapshot validation.
   std::string CheckConsistency() const;
 
   /// Memory introspection for the engine's graph gauges (DESIGN.md §3.11):

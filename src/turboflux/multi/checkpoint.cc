@@ -65,40 +65,44 @@ Status QuerySet::Checkpoint(std::ostream& out) const {
     slot_to_dense[dense_slots[i]] = i;
   }
 
-  std::string meta;
-  bin::PutU64(meta, applied_ops_);
-  bin::PutU64(meta, ops_evaluated_);
-  bin::PutU64(meta, ops_noop_);
-  bin::PutU64(meta, ops_quarantined_);
-  bin::PutU64(meta, consulted_evals_);
-  bin::PutU64(meta, registrations_);
-  bin::PutU64(meta, registrations_shared_);
-  bin::PutU64(meta, deregistrations_);
-  bin::PutU32(meta, static_cast<uint32_t>(records_.size()));  // next id
-  bin::PutU32(meta, static_cast<uint32_t>(dense_slots.size()));
-  Status st = bin::WriteSection(out, kSectionSetMeta, meta);
+  // One buffer, reused by the set's own sections (clear() keeps its
+  // capacity, so the graph section sizes it once); it is freed before the
+  // runtimes' state is written.
+  std::string buf;
+  bin::PutU64(buf, applied_ops_);
+  bin::PutU64(buf, ops_evaluated_);
+  bin::PutU64(buf, ops_noop_);
+  bin::PutU64(buf, ops_quarantined_);
+  bin::PutU64(buf, consulted_evals_);
+  bin::PutU64(buf, registrations_);
+  bin::PutU64(buf, registrations_shared_);
+  bin::PutU64(buf, deregistrations_);
+  bin::PutU32(buf, static_cast<uint32_t>(records_.size()));  // next id
+  bin::PutU32(buf, static_cast<uint32_t>(dense_slots.size()));
+  Status st = bin::WriteSection(out, kSectionSetMeta, buf);
   if (!st.ok()) return st;
 
-  std::string gbuf;
-  g_.Serialize(gbuf);
-  st = bin::WriteSection(out, kSectionGraph, gbuf);
+  buf.clear();
+  g_.Serialize(buf);
+  st = bin::WriteSection(out, kSectionGraph, buf);
   if (!st.ok()) return st;
 
-  std::string reg;
+  buf.clear();
   uint32_t live = 0;
   for (const QueryRecord& r : records_) live += r.live ? 1 : 0;
-  bin::PutU32(reg, live);
+  bin::PutU32(buf, live);
   for (uint32_t id = 0; id < records_.size(); ++id) {
     const QueryRecord& r = records_[id];
     if (!r.live) continue;
-    bin::PutU32(reg, id);
-    bin::PutU32(reg, slot_to_dense[r.slot]);
-    bin::PutU64(reg, r.costs.routed_ops);
-    bin::PutU64(reg, r.costs.matches_positive);
-    bin::PutU64(reg, r.costs.matches_negative);
+    bin::PutU32(buf, id);
+    bin::PutU32(buf, slot_to_dense[r.slot]);
+    bin::PutU64(buf, r.costs.routed_ops);
+    bin::PutU64(buf, r.costs.matches_positive);
+    bin::PutU64(buf, r.costs.matches_negative);
   }
-  st = bin::WriteSection(out, kSectionRegistry, reg);
+  st = bin::WriteSection(out, kSectionRegistry, buf);
   if (!st.ok()) return st;
+  std::string().swap(buf);
 
   for (uint32_t slot : dense_slots) {
     st = runtimes_[slot]->engine->WriteStateSections(out,

@@ -12,11 +12,21 @@ namespace {
 
 constexpr uint8_t kBlockMatches = 0;
 constexpr uint8_t kBlockCommit = 1;
-constexpr uint32_t kMaxBlockBytes = 1u << 26;  // 64 MiB corruption guard
+// Corruption guards Load applies to every block; AppendCommit splits a
+// commit's records so each matches block stays within them.
+constexpr uint32_t kMaxBlockBytes = 1u << 26;  // 64 MiB
+constexpr uint32_t kMaxBlockRecords = 1u << 24;
+constexpr uint32_t kMaxMappingLen = 1u << 20;
+
+// Encoded size of one record in a matches block.
+size_t RecordBytes(const MatchRecord& m) {
+  return 8 + 4 + 1 + 4 + 4 * m.mapping.size();
+}
 
 void EncodeMatchesBlock(std::span<const MatchRecord> records,
-                        std::string& out) {
+                        size_t payload_bytes, std::string& out) {
   std::string payload;
+  payload.reserve(payload_bytes);
   bin::PutU8(payload, kBlockMatches);
   bin::PutU32(payload, static_cast<uint32_t>(records.size()));
   for (const MatchRecord& m : records) {
@@ -93,23 +103,25 @@ Status MatchLog::Load(const std::string& path,
     if (!r.GetU8(&kind)) break;
     if (kind == kBlockMatches) {
       uint32_t count = 0;
-      bool bad = !r.GetLength(&count, 1u << 24);
+      bool bad = !r.GetLength(&count, kMaxBlockRecords);
       for (uint32_t i = 0; !bad && i < count; ++i) {
         MatchRecord m;
         uint32_t map_len = 0;
         if (!r.GetU64(&m.op_index) || !r.GetU32(&m.query) ||
-            !r.GetU8(&m.positive) || !r.GetLength(&map_len, 1u << 20)) {
+            !r.GetU8(&m.positive) || !r.GetLength(&map_len, kMaxMappingLen)) {
+          bad = true;
+          break;
+        }
+        const char* p = r.Take(size_t{4} * map_len);
+        if (p == nullptr) {
           bad = true;
           break;
         }
         m.mapping.resize(map_len);
         for (uint32_t j = 0; j < map_len; ++j) {
-          if (!r.GetU32(&m.mapping[j])) {
-            bad = true;
-            break;
-          }
+          m.mapping[j] = bin::LoadU32(p + 4 * j);
         }
-        if (!bad) uncommitted.push_back(std::move(m));
+        uncommitted.push_back(std::move(m));
       }
       if (bad || !r.exhausted()) break;
     } else if (kind == kBlockCommit) {
@@ -155,8 +167,26 @@ Status MatchLog::AppendCommit(std::span<const MatchRecord> records,
   if (file_ == nullptr) {
     return Status::FailedPrecondition("match log is not open");
   }
+  for (const MatchRecord& m : records) {
+    if (m.mapping.size() > kMaxMappingLen) {
+      return Status::InvalidArgument("match mapping longer than 2^20");
+    }
+  }
+  // Greedy split into matches blocks within Load's limits. A commit that
+  // fits one block is encoded exactly as one block, as before the split.
   std::string block;
-  if (!records.empty()) EncodeMatchesBlock(records, block);
+  for (size_t begin = 0; begin < records.size();) {
+    size_t end = begin;
+    size_t payload_bytes = 1 + 4;  // kind + count
+    while (end < records.size() && end - begin < kMaxBlockRecords &&
+           payload_bytes + RecordBytes(records[end]) <= kMaxBlockBytes) {
+      payload_bytes += RecordBytes(records[end]);
+      ++end;
+    }
+    EncodeMatchesBlock(records.subspan(begin, end - begin), payload_bytes,
+                       block);
+    begin = end;
+  }
   size_t before_commit = block.size();
   EncodeCommitBlock(through_op, block);
 

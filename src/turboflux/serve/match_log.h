@@ -39,6 +39,7 @@ struct MatchRecord {
 //                                 u32 mapping_len, mapping_len × u32)
 //     kind 1: u64 through_op
 //
+// One commit is zero or more kind-0 blocks followed by one kind-1 block.
 // Only matches at or below the last COMMIT marker's `through_op` are
 // considered delivered. Load() discards everything after the last
 // complete commit — a torn commit block rolls the stream back to the
@@ -66,6 +67,11 @@ class MatchLog {
   [[nodiscard]] Status Open(const std::string& path, uint64_t valid_bytes);
 
   /// Appends `records` plus a COMMIT(through_op) marker and flushes.
+  /// Records are split across as many matches blocks as Load's per-block
+  /// limits (64 MiB, 2^24 records) require; Load gathers every block
+  /// before a COMMIT, so the split is invisible to readers. A mapping
+  /// longer than 2^20 vertices is refused with kInvalidArgument (nothing
+  /// is written), since Load could not read it back.
   /// If `injector` trips ShouldTearMatchLogCommit, the write is cut
   /// short of the commit marker and kIoError("injected...") is returned —
   /// the server treats that as a crash.

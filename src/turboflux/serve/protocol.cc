@@ -3,26 +3,12 @@
 #include <charconv>
 #include <cstring>
 
+#include "turboflux/common/serialize.h"
+
 namespace turboflux {
 namespace serve {
 
 namespace {
-
-void PutU32Le(uint32_t v, std::string& out) {
-  char b[4];
-  b[0] = static_cast<char>(v & 0xff);
-  b[1] = static_cast<char>((v >> 8) & 0xff);
-  b[2] = static_cast<char>((v >> 16) & 0xff);
-  b[3] = static_cast<char>((v >> 24) & 0xff);
-  out.append(b, 4);
-}
-
-uint32_t GetU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
 
 /// Whitespace-splitting cursor over one payload line.
 class Tokens {
@@ -90,7 +76,7 @@ const char* TierName(Tier tier) {
 }
 
 void EncodeFrame(std::string_view payload, std::string& out) {
-  PutU32Le(static_cast<uint32_t>(payload.size()), out);
+  bin::PutU32(out, static_cast<uint32_t>(payload.size()));
   out.append(payload.data(), payload.size());
 }
 
@@ -107,7 +93,7 @@ void FrameDecoder::Feed(std::string_view bytes) {
 bool FrameDecoder::Next(std::string* payload) {
   if (!status_.ok()) return false;
   if (buf_.size() - pos_ < 4) return false;
-  uint32_t len = GetU32Le(buf_.data() + pos_);
+  uint32_t len = bin::LoadU32(buf_.data() + pos_);
   if (len > kMaxFrameBytes) {
     status_ = Status::InvalidArgument(
         "frame length " + std::to_string(len) + " exceeds limit " +

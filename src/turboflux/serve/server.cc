@@ -352,6 +352,8 @@ Status Server::Commit() {
     return s;
   }
   // 2. Snapshot to a temp file, then atomic rename (S advances).
+  Stopwatch snapshot_watch;
+  uint64_t snapshot_bytes = 0;
   std::string tmp = SnapshotPath() + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -365,6 +367,9 @@ Status Server::Commit() {
       Die("snapshot write failed");
       return s.ok() ? Status::IoError("snapshot write failed") : s;
     }
+    if (const std::streamoff end = out.tellp(); end > 0) {
+      snapshot_bytes = static_cast<uint64_t>(end);
+    }
   }
   if (options_.injector != nullptr &&
       options_.injector->ShouldDieBeforeSnapshotRename()) {
@@ -376,6 +381,12 @@ Status Server::Commit() {
   if (ec) {
     Die("snapshot rename failed");
     return Status::IoError("snapshot rename failed: " + ec.message());
+  }
+  {
+    MutexLock lock(state_mu_);
+    ++snapshots_;
+    snapshot_bytes_ += snapshot_bytes;
+    snapshot_ns_.RecordSeconds(snapshot_watch.ElapsedSeconds());
   }
   if (options_.injector != nullptr &&
       options_.injector->ShouldDieAfterSnapshotRename()) {
@@ -598,6 +609,12 @@ Response Server::Stats() {
   snap.AddCounter("serve.sheds", sheds_.load(std::memory_order_relaxed));
   snap.AddCounter("serve.shed_restores",
                   shed_restores_.load(std::memory_order_relaxed));
+  {
+    MutexLock lock(state_mu_);
+    snap.AddCounter("serve.snapshots", snapshots_);
+    snap.AddCounter("serve.snapshot_bytes", snapshot_bytes_);
+    snap.AddHistogram("serve.snapshot_ns", snapshot_ns_);
+  }
   Response r;
   r.kind = Response::Kind::kStats;
   r.text = snap.ToJson();

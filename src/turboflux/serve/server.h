@@ -16,6 +16,7 @@
 #include "turboflux/graph/graph.h"
 #include "turboflux/harness/fault_injection.h"
 #include "turboflux/multi/query_set.h"
+#include "turboflux/obs/stats.h"
 #include "turboflux/query/query_graph.h"
 #include "turboflux/serve/admission.h"
 #include "turboflux/serve/match_log.h"
@@ -227,6 +228,11 @@ class Server {
   CondVar ack_cv_;  // paired with state_mu_; notified outside the lock
   std::map<uint64_t, uint64_t> durable_hw_ GUARDED_BY(state_mu_);
   std::map<multi::QueryId, StandingQuery> queries_ GUARDED_BY(state_mu_);
+  // Snapshot cost per commit (serve.snapshot* in Stats): written by
+  // Commit on the ingest thread, read by Stats on a connection thread.
+  uint64_t snapshots_ GUARDED_BY(state_mu_) = 0;
+  uint64_t snapshot_bytes_ GUARDED_BY(state_mu_) = 0;
+  obs::HistogramData snapshot_ns_ GUARDED_BY(state_mu_);
 
   std::atomic<uint8_t> tier_{0};
   std::atomic<uint64_t> accepted_ops_{0};   ///< WAL-durable op count (J)

@@ -48,6 +48,10 @@ void SendResponse(int fd, const Response& response) {
 TcpServer::~TcpServer() { Stop(); }
 
 Status TcpServer::Listen(Server& server, uint16_t port) {
+  if (stopping_.load(std::memory_order_acquire) || accept_thread_.joinable()) {
+    return Status::FailedPrecondition(
+        "TcpServer is one-shot: Listen after Listen or Stop");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Status::IoError("socket() failed");
   int one = 1;

@@ -38,6 +38,9 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral), starts the accept loop.
+  /// A TcpServer is one-shot: once Listen has succeeded or Stop has run,
+  /// Listen returns kFailedPrecondition (make a new TcpServer instead). A
+  /// Listen that failed to bind may be retried.
   [[nodiscard]] Status Listen(Server& server, uint16_t port);
 
   /// Stops accepting, closes all connections, joins all threads.

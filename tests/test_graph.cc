@@ -1,6 +1,8 @@
 #include "turboflux/graph/graph.h"
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -194,6 +196,77 @@ TEST(Graph, DeserializeRejectsCorruptBytes) {
       // still yield a self-consistent graph.
       EXPECT_TRUE(back.CheckConsistency().empty()) << "offset " << off;
     }
+  }
+}
+
+// Hand-built Graph::Serialize bytes: `nv` unlabeled vertices, then the
+// out-lists and in-lists verbatim as (other, label) pairs — so a test can
+// state adjacency that no sequence of AddEdge calls produces.
+using AdjLists = std::vector<std::vector<AdjEntry>>;
+
+std::string EncodeGraph(uint32_t nv, const AdjLists& out,
+                        const AdjLists& in) {
+  std::string bytes;
+  bin::PutU64(bytes, nv);
+  for (uint32_t v = 0; v < nv; ++v) bin::PutU32(bytes, 0);
+  for (const AdjLists* lists : {&out, &in}) {
+    for (uint32_t v = 0; v < nv; ++v) {
+      bin::PutU32(bytes, static_cast<uint32_t>((*lists)[v].size()));
+      for (const AdjEntry& e : (*lists)[v]) {
+        bin::PutU32(bytes, e.other);
+        bin::PutU32(bytes, e.label);
+      }
+    }
+  }
+  return bytes;
+}
+
+Status DecodeGraph(const std::string& bytes, Graph* g) {
+  bin::Reader r{std::string_view(bytes)};
+  return g->Deserialize(r);
+}
+
+TEST(Graph, DeserializeAcceptsHandBuiltMirroredAdjacency) {
+  // Edges (0,1,1) and (2,1,1): the baseline the rejection cases bend.
+  Graph g;
+  Status st = DecodeGraph(
+      EncodeGraph(3, {{{1, 1}}, {}, {{1, 1}}}, {{}, {{0, 1}, {2, 1}}, {}}),
+      &g);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(g.EdgeCount(), 2u);
+  EXPECT_TRUE(g.HasEdge(2, 1, 1));
+  EXPECT_TRUE(g.CheckConsistency().empty());
+}
+
+TEST(Graph, DeserializeRejectsInconsistentAdjacency) {
+  struct Case {
+    const char* what;
+    AdjLists out;
+    AdjLists in;
+  };
+  const Case cases[] = {
+      // Equal totals, but vertex 1's in-list holds (0,1,1) twice and
+      // (2,1,1) not at all.
+      {"in-list with one edge twice and one missing",
+       {{{1, 1}}, {}, {{1, 1}}},
+       {{}, {{0, 1}, {0, 1}}, {}}},
+      {"duplicate out-entry",
+       {{{1, 1}, {1, 1}}, {}, {}},
+       {{}, {{0, 1}, {0, 1}}, {}}},
+      // Equal totals; the in-entry sits at vertex 2, where no edge ends.
+      {"in-entry with no out mirror", {{{1, 1}}, {}, {}}, {{}, {}, {{0, 1}}}},
+      {"label flipped in the in-list only",
+       {{{1, 1}}, {}, {}},
+       {{}, {{0, 2}}, {}}},
+      {"label flipped in the out-list only",
+       {{{1, 2}}, {}, {}},
+       {{}, {{0, 1}}, {}}},
+  };
+  for (const Case& c : cases) {
+    Graph g;
+    Status st = DecodeGraph(EncodeGraph(3, c.out, c.in), &g);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << c.what;
+    EXPECT_EQ(g.VertexCount(), 0u) << c.what;
   }
 }
 

@@ -274,6 +274,19 @@ TEST(ServeServer, HealthAndStatsServeWithoutStreaming) {
   Response stats = server->Stats();
   EXPECT_EQ(stats.kind, Response::Kind::kStats);
   EXPECT_NE(stats.text.find("serve.ops_accepted"), std::string::npos);
+  // RegisterQuery committed once, so the snapshot stats are non-zero.
+  auto number_after = [&stats](const std::string& key, size_t from = 0) {
+    size_t at = stats.text.find(key, from);
+    EXPECT_NE(at, std::string::npos) << key;
+    return at == std::string::npos
+               ? uint64_t{0}
+               : std::stoull(stats.text.substr(at + key.size()));
+  };
+  EXPECT_GE(number_after("\"serve.snapshots\": "), 1u);
+  EXPECT_GT(number_after("\"serve.snapshot_bytes\": "), 0u);
+  const std::string hist = "\"serve.snapshot_ns\": {\"count\": ";
+  EXPECT_GE(number_after(hist), 1u);
+  EXPECT_GT(number_after("\"sum\": ", stats.text.find(hist)), 0u);
 
   ServerHandle handle(*server, 3);
   ASSERT_EQ(handle.Submit(std::span<const UpdateOp>(c.stream.data(), 8)).kind,
@@ -294,6 +307,46 @@ TEST(ServeServer, HealthAndStatsServeWithoutStreaming) {
     ASSERT_EQ(page.matches.size(), 1u);
     EXPECT_TRUE(page.matches[0] == committed[1]);
   }
+}
+
+TEST(ServeServer, OversizedCommitReadsBackInFullAcrossKill) {
+  // A commit over the match log's 64 MiB block limit (17 records of 2^20
+  // vertices) in the data dir's match log, as the server's own commit
+  // path writes it; every record must come back through CommittedMatches,
+  // before and after a kill and recovery.
+  testutil::RandomCase c = ServeCase(4107);
+  TempDir dir("bigcommit");
+  std::vector<MatchRecord> big(17);
+  for (uint32_t i = 0; i < big.size(); ++i) {
+    big[i].query = i;
+    big[i].mapping.assign(size_t{1} << 20, i);
+  }
+  {
+    MatchLog log;
+    ASSERT_TRUE(log.Open(dir.str() + "/matches.log", 0).ok());
+    ASSERT_TRUE(log.AppendCommit(big, 0, nullptr).ok());
+  }
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Create(FastOptions(dir.str()), &c.g0, &server).ok());
+  std::vector<MatchRecord> committed;
+  ASSERT_TRUE(server->CommittedMatches(&committed).ok());
+  ASSERT_EQ(committed.size(), big.size());
+  EXPECT_TRUE(committed.back() == big.back());
+  // A registration commits a snapshot (and its initial matches after the
+  // big commit), so the recovery below restores instead of needing g0.
+  multi::QueryId id = 0;
+  ASSERT_TRUE(server->RegisterQuery(c.query, 1, &id).ok());
+
+  server->Kill();
+  server.reset();
+  ASSERT_TRUE(Server::Create(FastOptions(dir.str()), nullptr, &server).ok());
+  committed.clear();
+  ASSERT_TRUE(server->CommittedMatches(&committed).ok());
+  ASSERT_GE(committed.size(), big.size());
+  for (size_t i = 0; i < big.size(); ++i) {
+    EXPECT_TRUE(committed[i] == big[i]) << "record " << i;
+  }
+  server->Shutdown();
 }
 
 TEST(ServeServer, FreshDirWithoutGraphIsRejected) {

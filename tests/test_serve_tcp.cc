@@ -216,6 +216,36 @@ TEST(ServeTcp, DroppedConnectionMidFrameDiscardsThePartialRequest) {
   EXPECT_EQ(rig.server->Pos(3).seq, 4u);
 }
 
+TEST(ServeTcp, ListenIsOneShot) {
+  Rig rig("oneshot");
+  Request ping;
+  ping.kind = Request::Kind::kPing;
+  Response r;
+  // A second Listen while listening is refused; the first keeps serving.
+  EXPECT_EQ(rig.tcp.Listen(*rig.server, 0).code(),
+            StatusCode::kFailedPrecondition);
+  {
+    TcpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", rig.tcp.port()).ok());
+    ASSERT_TRUE(client.Call(ping, &r).ok());
+    EXPECT_EQ(r.kind, Response::Kind::kPong);
+  }
+  // Listen after Stop is refused rather than binding a port nobody
+  // accepts on (a client's first Call there would block forever).
+  rig.tcp.Stop();
+  EXPECT_EQ(rig.tcp.Listen(*rig.server, 0).code(),
+            StatusCode::kFailedPrecondition);
+  // A fresh TcpServer over the same Server serves.
+  TcpServer fresh;
+  ASSERT_TRUE(fresh.Listen(*rig.server, 0).ok());
+  TcpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fresh.port()).ok());
+  ASSERT_TRUE(client.Call(ping, &r).ok());
+  EXPECT_EQ(r.kind, Response::Kind::kPong);
+  client.Close();
+  fresh.Stop();
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace turboflux

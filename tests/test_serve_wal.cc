@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -255,6 +256,83 @@ TEST(MatchLog, TornCommitRollsBackToPreviousMarker) {
   ASSERT_TRUE(MatchLog::Load(path, &records, &watermark, &valid_bytes).ok());
   EXPECT_EQ(watermark, 7u);
   EXPECT_EQ(records.size(), 4u);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(MatchLog, SmallCommitBytesArePinned) {
+  // One matches block (kind 0, two records) and one COMMIT(2) block, each
+  // u32 length | payload | u32 CRC-32 — the on-disk format existing data
+  // directories hold, CRC values included.
+  const std::string expected_hex =
+      "3b000000"  // matches payload length 59
+      "00" "02000000"
+      "0000000000000000" "01000000" "01" "03000000"
+      "03000000" "01000000" "04000000"
+      "0100000000000000" "02000000" "00" "02000000"
+      "02000000" "07000000"
+      "89b67117"  // CRC-32 0x1771b689
+      "09000000" "01" "0200000000000000"
+      "900757b3";  // CRC-32 0xb3570790
+  std::string expected;
+  for (size_t i = 0; i < expected_hex.size(); i += 2) {
+    expected.push_back(
+        static_cast<char>(std::stoi(expected_hex.substr(i, 2), nullptr, 16)));
+  }
+  TempDir dir("pinned");
+  const std::string path = dir.File("matches.log");
+  {
+    MatchLog log;
+    ASSERT_TRUE(log.Open(path, 0).ok());
+    ASSERT_TRUE(log.AppendCommit(SampleMatches(0), 2, nullptr).ok());
+  }
+  EXPECT_EQ(ReadFile(path), expected);
+}
+
+TEST(MatchLog, OversizedCommitSplitsIntoLoadableBlocks) {
+  // 17 records of 2^20 vertices: ~68 MiB, over the 64 MiB block limit
+  // Load enforces, so the commit must span more than one matches block.
+  std::vector<MatchRecord> big(17);
+  for (uint32_t i = 0; i < big.size(); ++i) {
+    big[i].op_index = i / 4;
+    big[i].query = i;
+    big[i].positive = i % 2;
+    big[i].mapping.resize(size_t{1} << 20);
+    for (uint32_t j = 0; j < big[i].mapping.size(); ++j) {
+      big[i].mapping[j] = i * 7919 + j;
+    }
+  }
+  TempDir dir("split");
+  const std::string path = dir.File("matches.log");
+  {
+    MatchLog log;
+    ASSERT_TRUE(log.Open(path, 0).ok());
+    ASSERT_TRUE(log.AppendCommit(big, 5, nullptr).ok());
+  }
+  std::vector<MatchRecord> records;
+  uint64_t watermark = 0;
+  uint64_t valid_bytes = 0;
+  ASSERT_TRUE(MatchLog::Load(path, &records, &watermark, &valid_bytes).ok());
+  EXPECT_EQ(watermark, 5u);
+  EXPECT_EQ(valid_bytes, fs::file_size(path));
+  ASSERT_EQ(records.size(), big.size());
+  for (size_t i = 0; i < big.size(); ++i) {
+    EXPECT_TRUE(records[i] == big[i]) << "record " << i;
+  }
+  // A mapping Load could not read back is refused before anything lands.
+  MatchRecord huge;
+  huge.mapping.resize((size_t{1} << 20) + 1);
+  {
+    MatchLog log;
+    ASSERT_TRUE(log.Open(path, valid_bytes).ok());
+    EXPECT_EQ(log.AppendCommit(std::span(&huge, 1), 6, nullptr).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(fs::file_size(path), valid_bytes);
 }
 
 TEST(MatchLog, CanonicalStreamIsGroupingIndependent) {
