@@ -14,8 +14,9 @@ namespace bench {
 ///
 /// Three fleet-wide flags are implicitly known by every binary, so
 /// scripts/reproduce_all.sh can pass them uniformly:
-///   --threads=N     worker threads for TurboFlux's parallel batched path
-///                   (other engines stay sequential);
+///   --threads=N     cross-query evaluation threads of the multi::QuerySet;
+///                   only multi_query_scaling reads it (a single engine
+///                   always runs on one thread), the others ignore it;
 ///   --batch=K       update-window size fed to ApplyBatch per call;
 ///   --stats_json=F  accumulate per-engine observability snapshots
 ///                   (DESIGN.md §3.8) into the JSON artifact F.

@@ -95,7 +95,7 @@ struct PointResult {
 };
 
 PointResult RunPoint(const workload::Dataset& dataset,
-                     const std::vector<QueryGraph>& queries,
+                     const std::vector<QueryGraph>& queries, size_t threads,
                      const ExperimentOptions& options) {
   PointResult r;
   r.queries = queries.size();
@@ -136,10 +136,9 @@ PointResult RunPoint(const workload::Dataset& dataset,
   // QuerySet serving layer.
   SetSink set_sink;
   {
-    multi::QuerySetOptions set_options;
-    set_options.threads =
-        options.threads > 1 ? static_cast<size_t>(options.threads) : 1;
-    multi::QuerySet set(set_options);
+    multi::QuerySetOptions set_opts;
+    set_opts.threads = threads;
+    multi::QuerySet set(set_opts);
     set.Bind(dataset.initial);
     Stopwatch reg;
     for (const QueryGraph& q : queries) {
@@ -196,16 +195,15 @@ struct ChurnResult {
 /// `churn_every` ops, against the live mid-stream graph.
 ChurnResult RunChurn(const workload::Dataset& dataset,
                      const std::vector<QueryGraph>& queries,
-                     size_t churn_every, const ExperimentOptions& options) {
+                     size_t churn_every, size_t threads) {
   ChurnResult r;
   r.ops = dataset.stream.size();
   if (queries.empty() || churn_every == 0) return r;
   Deadline deadline = Deadline::Infinite();
 
-  multi::QuerySetOptions set_options;
-  set_options.threads =
-      options.threads > 1 ? static_cast<size_t>(options.threads) : 1;
-  multi::QuerySet set(set_options);
+  multi::QuerySetOptions set_opts;
+  set_opts.threads = threads;
+  multi::QuerySet set(set_opts);
   set.Bind(dataset.initial);
   SetSink sink;
 
@@ -272,6 +270,8 @@ int Main(int argc, char** argv) {
 
   ExperimentOptions options;
   ApplyStreamingFlags(flags, options);
+  const size_t threads =
+      flags.Threads() > 1 ? static_cast<size_t>(flags.Threads()) : 1;
 
   workload::Dataset dataset =
       MakeLsBenchDataset(scale, /*stream_fraction=*/0.3,
@@ -309,7 +309,7 @@ int Main(int argc, char** argv) {
     size_t n = std::min(static_cast<size_t>(count), all_queries.size());
     std::vector<QueryGraph> queries(all_queries.begin(),
                                     all_queries.begin() + n);
-    PointResult p = RunPoint(dataset, queries, options);
+    PointResult p = RunPoint(dataset, queries, threads, options);
     points.push_back(p);
     if (!p.ok) {
       std::printf("N=%zu FAILED\n", n);
@@ -329,7 +329,8 @@ int Main(int argc, char** argv) {
         p.totals_equal ? "EQUAL" : "MISMATCH");
   }
 
-  ChurnResult churn = RunChurn(dataset, all_queries, churn_every, options);
+  ChurnResult churn =
+      RunChurn(dataset, all_queries, churn_every, threads);
   if (churn.ok) {
     std::printf(
         "\nchurn: %zu ops, %zu mid-stream registrations "
@@ -358,7 +359,7 @@ int Main(int argc, char** argv) {
       << ", \"prefix_overlap\": " << overlap
       << ", \"duplicate_fraction\": " << dup << ", \"label_skew\": " << skew
       << ", \"generated\": " << all_queries.size() << "},\n";
-    f << "  \"threads\": " << options.threads << ",\n";
+    f << "  \"threads\": " << threads << ",\n";
     f << "  \"points\": [";
     for (size_t i = 0; i < points.size(); ++i) {
       const PointResult& p = points[i];

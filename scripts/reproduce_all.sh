@@ -3,10 +3,10 @@
 # figure bench. Outputs land in test_output.txt and bench_output.txt at
 # the repository root. Expect ~20-40 minutes on a laptop.
 #
-# THREADS=N (and optionally BATCH=K) in the environment are forwarded to
-# every figure binary as --threads=N --batch=K, enabling TurboFlux's
-# parallel batched-update path. Defaults (1/1) reproduce the paper's
-# sequential model; outputs are identical either way.
+# BATCH=K in the environment is forwarded to every figure binary as
+# --batch=K, feeding the engines K-op windows through ApplyBatch. The
+# default (1) reproduces the paper's one-op-at-a-time model; outputs are
+# identical either way.
 #
 # STATS_DIR=dir additionally passes --stats_json=dir/<bench>.stats.json to
 # every figure binary, producing one machine-readable per-engine counter/
@@ -14,10 +14,9 @@
 # whole reproduction.
 set -e
 cd "$(dirname "$0")/.."
-THREADS="${THREADS:-1}"
 BATCH="${BATCH:-1}"
 STATS_DIR="${STATS_DIR:-}"
-BENCH_FLAGS="--threads=$THREADS --batch=$BATCH"
+BENCH_FLAGS="--batch=$BATCH"
 if [ -n "$STATS_DIR" ]; then mkdir -p "$STATS_DIR"; fi
 cmake -B build -G Ninja
 cmake --build build

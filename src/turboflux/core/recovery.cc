@@ -25,12 +25,10 @@ namespace {
 /// or batch drops the buffer wholesale, which is what turns the engine's
 /// at-least-once replay into the sink's exactly-once delivery.
 ///
-/// mu_ guards the pending buffer: today the engine flushes batch matches
-/// to the sink on the primary thread, but MatchSink makes no
-/// single-threaded promise under parallel ApplyBatch, and the commit path
-/// must never interleave with a late append. FlushTo forwards to the
-/// downstream sink with mu_ released — the sink is user code and may
-/// block or re-enter.
+/// mu_ guards the pending buffer: MatchSink makes no single-threaded
+/// promise, and the commit path must never interleave with a late append.
+/// FlushTo forwards to the downstream sink with mu_ released — the sink is
+/// user code and may block or re-enter.
 class BufferSink : public MatchSink {
  public:
   void OnMatch(bool positive, const Mapping& m) override EXCLUDES(mu_) {

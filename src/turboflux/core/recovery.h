@@ -25,8 +25,7 @@ struct ResilientOptions {
   /// replay work after a failure at the cost of more snapshot writes.
   size_t checkpoint_every = 0;
 
-  /// Ops per engine call: 1 uses TryApplyUpdate, > 1 uses TryApplyBatch
-  /// (parallel when the engine's `threads` option is > 1).
+  /// Ops per engine call: 1 uses TryApplyUpdate, > 1 uses TryApplyBatch.
   int64_t batch_size = 1;
 
   /// Give up after this many restore-and-replay cycles.

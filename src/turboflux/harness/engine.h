@@ -42,13 +42,12 @@ class ContinuousEngine {
   virtual bool ApplyUpdate(const UpdateOp& op, MatchSink& sink,
                            Deadline deadline) = 0;
 
-  /// Applies a window of consecutive update operations, reporting matches
-  /// exactly as the equivalent sequence of ApplyUpdate calls would (same
-  /// per-op match sets, ops reported in stream order). The default is the
-  /// sequential loop; engines with a parallel path override this. Returns
-  /// false if the deadline expired mid-batch — the matches reported by
-  /// then correspond to a consistent prefix of the batch, and the engine
-  /// must not be used further (TurboFlux again excepted via Restore).
+  /// Applies a window of consecutive update operations as the equivalent
+  /// sequence of ApplyUpdate calls: same matches, same order. Returns false
+  /// if the deadline expired mid-batch — the matches reported by then are a
+  /// record prefix of the sequential run's (the cut may fall inside an op,
+  /// after part of its matches), and the engine must not be used further
+  /// (TurboFlux again excepted via Restore).
   virtual bool ApplyBatch(std::span<const UpdateOp> ops, MatchSink& sink,
                           Deadline deadline) {
     for (const UpdateOp& op : ops) {
@@ -130,14 +129,24 @@ class EngineInterface : public ContinuousEngine {
                                               MatchSink& sink,
                                               Deadline deadline) = 0;
 
-  /// Batch counterpart of TryApplyUpdate: quarantines out-of-range ops up
-  /// front and evaluates the rest via ApplyBatch. On kDeadlineExceeded
-  /// only a stream-order prefix of the batch's matches was flushed and
-  /// the engine is dead; applied_ops() is only meaningful again after
-  /// Restore().
+  /// Batch counterpart of TryApplyUpdate: the TryApplyUpdate loop, with
+  /// the per-op informational statuses swallowed. On kDeadlineExceeded the
+  /// matches reported are a record prefix of the sequential run's
+  /// (possibly ending inside an op) and the engine is dead; applied_ops()
+  /// is only meaningful again after Restore().
   [[nodiscard]] virtual Status TryApplyBatch(std::span<const UpdateOp> ops,
                                              MatchSink& sink,
-                                             Deadline deadline) = 0;
+                                             Deadline deadline) {
+    if (dead()) {
+      return Status::FailedPrecondition("engine is dead; Restore() it first");
+    }
+    for (const UpdateOp& op : ops) {
+      Status st = TryApplyUpdate(op, sink, deadline);
+      if (st.code() == StatusCode::kDeadlineExceeded) return st;
+      NotePeakIntermediate();
+    }
+    return Status::Ok();
+  }
 
   /// Writes a crash-consistent snapshot of the full engine state (format
   /// header + CRC32-framed sections). Requires Init to have succeeded and

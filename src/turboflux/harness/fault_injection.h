@@ -18,10 +18,6 @@ struct FaultPlan {
   /// genuine partial-progress point.
   uint64_t fail_at_op = 0;
 
-  /// Expire the deadline inside phase 1 of the Nth parallel ApplyBatch
-  /// evaluation step, exercising the partial-batch recovery path.
-  uint64_t batch_phase1_fail_after = 0;
-
   /// Bit-flip byte K of a snapshot before restoring it (applied by the
   /// test via CorruptSnapshot, not by the engine). SIZE_MAX disables.
   size_t corrupt_snapshot_byte = SIZE_MAX;
@@ -64,11 +60,11 @@ struct FaultPlan {
 };
 
 /// Thread-safe one-shot trigger shared between a test harness and the
-/// engine under test. The engine polls ShouldFailOp / ShouldFailBatchEval
-/// at its injection points; each fires at most once per injector.
+/// code under test. The engine polls ShouldFailOp, the ingestion service
+/// the service-level triggers; each fires at most once per injector.
 ///
-/// Lock-free by design (DESIGN.md §3.9): the triggers are polled from
-/// every batch worker on the op hot path, so the counters are relaxed
+/// Lock-free by design (DESIGN.md §3.9): the triggers are polled on the op
+/// hot path and from the service's threads, so the counters are relaxed
 /// atomics and `plan_` is immutable after construction — there is no
 /// guarded state, hence no Mutex. Re-arming means constructing a fresh
 /// injector.
@@ -81,13 +77,6 @@ class FaultInjector {
     if (plan_.fail_at_op == 0) return false;
     return ops_seen_.fetch_add(1, std::memory_order_relaxed) + 1 ==
            plan_.fail_at_op;
-  }
-
-  /// Called per evaluation step in ApplyBatch phase 1 (any worker thread).
-  [[nodiscard]] bool ShouldFailBatchEval() {
-    if (plan_.batch_phase1_fail_after == 0) return false;
-    return evals_seen_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-           plan_.batch_phase1_fail_after;
   }
 
   // --- Service-level triggers (one-shot, same relaxed-counter scheme) ---
@@ -132,10 +121,7 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
   uint64_t ops_seen() const { return ops_seen_.load(std::memory_order_relaxed); }
   bool fired() const {
-    return (plan_.fail_at_op != 0 && ops_seen() >= plan_.fail_at_op) ||
-           (plan_.batch_phase1_fail_after != 0 &&
-            evals_seen_.load(std::memory_order_relaxed) >=
-                plan_.batch_phase1_fail_after);
+    return plan_.fail_at_op != 0 && ops_seen() >= plan_.fail_at_op;
   }
 
  private:
@@ -149,7 +135,6 @@ class FaultInjector {
 
   FaultPlan plan_;
   std::atomic<uint64_t> ops_seen_{0};
-  std::atomic<uint64_t> evals_seen_{0};
   std::atomic<uint64_t> wal_records_seen_{0};
   std::atomic<uint64_t> matchlog_commits_seen_{0};
   std::atomic<uint64_t> pre_rename_seen_{0};

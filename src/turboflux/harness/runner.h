@@ -20,9 +20,8 @@ struct RunOptions {
   bool subtract_graph_update_cost = true;
 
   /// Updates handed to the engine per ApplyBatch call. 1 feeds the stream
-  /// one ApplyUpdate at a time (the paper's model); larger values enable
-  /// the engine's batched path (parallel for TurboFlux when its `threads`
-  /// option is > 1). Output is equivalent either way.
+  /// one ApplyUpdate at a time (the paper's model); larger values take the
+  /// engine's batched path. Output is equivalent either way.
   int64_t batch_size = 1;
 
   /// Collect per-op/per-batch latency histograms and export the engine's

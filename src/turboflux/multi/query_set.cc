@@ -60,13 +60,6 @@ class RuntimeMatchBuffer : public MatchSink {
   std::vector<VertexId> flat_;
 };
 
-QuerySetOptions Sanitize(QuerySetOptions options) {
-  // Parallelism is cross-query only; a runtime engine never batches.
-  options.engine.threads = 1;
-  if (options.threads == 0) options.threads = 1;
-  return options;
-}
-
 }  // namespace
 
 std::string QuerySignature(const QueryGraph& q) {
@@ -115,7 +108,7 @@ std::string TreePrefixSignature(const QueryTree& tree, const QueryGraph& q,
   return s;
 }
 
-QuerySet::QuerySet(QuerySetOptions options) : options_(Sanitize(options)) {}
+QuerySet::QuerySet(QuerySetOptions options) : options_(options) {}
 
 QuerySet::~QuerySet() = default;
 
@@ -449,15 +442,6 @@ QuerySet::QueryCosts QuerySet::Costs(QueryId id) const {
 uint64_t QuerySet::ConsultedEvals() const {
   MutexLock lock(mu_);
   return consulted_evals_;
-}
-
-std::pair<size_t, size_t> QuerySet::PrefixGroupShape() const {
-  MutexLock lock(mu_);
-  size_t largest = 0;
-  for (const auto& [sig, slots] : prefix_groups_) {
-    largest = std::max(largest, slots.size());
-  }
-  return {prefix_groups_.size(), largest};
 }
 
 void QuerySet::AppendStats(obs::StatsSnapshot& out) const {

@@ -49,11 +49,10 @@ std::string TreePrefixSignature(const QueryTree& tree, const QueryGraph& q,
                                 size_t max_depth);
 
 struct QuerySetOptions {
-  /// Per-runtime engine options. `engine.threads` is forced to 1 — the
-  /// QuerySet parallelizes *across* queries, never inside one.
+  /// Per-runtime engine options.
   TurboFluxOptions engine;
 
-  /// Worker threads for cross-query evaluation (1 = sequential; N > 1
+  /// Worker threads for cross-query evaluation (0 or 1 = sequential; N > 1
   /// evaluates routed runtimes on the calling thread plus N-1 pool
   /// workers, with per-runtime match buffers flushed deterministically).
   size_t threads = 1;
@@ -135,7 +134,7 @@ class QuerySet {
 
   /// Applies one update: validates it, routes it through the inverted
   /// index, mutates the shared graph per the update protocol, evaluates
-  /// the routed runtimes (in parallel when options.threads > 1), and
+  /// the routed runtimes (in parallel when `threads` > 1), and
   /// reports every match tagged with its query id — members ascending
   /// within a runtime, runtimes in slot order, so output is deterministic.
   ///
@@ -194,10 +193,6 @@ class QuerySet {
   /// lowest live member id) to `out`.
   void AppendStats(obs::StatsSnapshot& out) const EXCLUDES(mu_);
 
-  /// Number of shared-prefix groups and the size of the largest one —
-  /// cheap observability for generated-workload sanity checks.
-  std::pair<size_t, size_t> PrefixGroupShape() const EXCLUDES(mu_);
-
  private:
   /// One engine serving every registered query with an identical
   /// signature.
@@ -236,7 +231,7 @@ class QuerySet {
   std::vector<QueryRecord> records_ GUARDED_BY(mu_);  // indexed by QueryId
 
   std::unordered_map<std::string, uint32_t> by_signature_ GUARDED_BY(mu_);
-  // Ordered so stats/shape reporting is deterministic.
+  // Ordered so stats reporting is deterministic.
   std::map<std::string, std::vector<uint32_t>> prefix_groups_
       GUARDED_BY(mu_);
   RoutingIndex routing_ GUARDED_BY(mu_);

@@ -14,18 +14,17 @@
 namespace turboflux {
 namespace parallel {
 
-/// A small fixed-size thread pool for the parallel batch executor.
+/// A small fixed-size thread pool for QuerySet's cross-query evaluation.
 ///
 ///  * Submit enqueues a task and returns a future; exceptions thrown by the
 ///    task are captured and rethrown from future.get().
 ///  * RunAll runs task[0] on the calling thread and the rest on workers,
 ///    waits for every task, and rethrows the first captured exception —
-///    the batch executor's one-barrier-per-phase primitive.
+///    one barrier per evaluated op.
 ///  * The destructor finishes every already-queued task before joining
 ///    (shutdown never drops work).
 ///
-/// A pool of size 0 is valid: Submit and RunAll then execute inline on the
-/// calling thread, which keeps `--threads=1` free of any thread machinery.
+/// A pool of size 0 is valid: Submit and RunAll then run inline.
 ///
 /// Lock discipline (verified by -Wthread-safety, DESIGN.md §3.9): mu_
 /// guards the task queue and the stop flag; tasks themselves always run

@@ -78,9 +78,6 @@ class SymBiEngine : public EngineInterface {
 
   [[nodiscard]] Status TryApplyUpdate(const UpdateOp& op, MatchSink& sink,
                                       Deadline deadline) override;
-  [[nodiscard]] Status TryApplyBatch(std::span<const UpdateOp> ops,
-                                     MatchSink& sink,
-                                     Deadline deadline) override;
 
   /// Snapshot format: magic "TFXS" + version, then CRC32-framed sections —
   /// meta (stream position + semantics), query graph, DAG vertex order,

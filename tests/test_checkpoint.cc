@@ -1,4 +1,6 @@
 #include <cstdlib>
+#include <map>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -6,6 +8,7 @@
 #include "testutil.h"
 #include "turboflux/core/turboflux.h"
 #include "turboflux/harness/fault_injection.h"
+#include "turboflux/multi/query_set.h"
 
 namespace turboflux {
 namespace {
@@ -35,20 +38,18 @@ void BuildEngine(TurboFluxEngine& engine, const testutil::RandomCase& c,
 /// The core byte-identity property: a restored engine has the same DCG
 /// dump, and produces the same subsequent match stream (same matches, same
 /// order) and the same next checkpoint, as the original.
-void ExpectByteIdenticalContinuation(uint64_t seed, size_t threads) {
+void ExpectByteIdenticalContinuation(uint64_t seed) {
   testutil::RandomCaseConfig cfg;
   cfg.stream_ops = 60;
   testutil::RandomCase c = testutil::MakeRandomCase(seed, cfg);
   const size_t half = c.stream.size() / 2;
 
-  TurboFluxOptions opts;
-  opts.threads = threads;
-  TurboFluxEngine original(opts);
+  TurboFluxEngine original;
   DiscardSink discard;
   BuildEngine(original, c, half, discard);
   std::string snapshot = CheckpointToString(original);
 
-  TurboFluxEngine restored(opts);
+  TurboFluxEngine restored;
   Status st = RestoreFromString(restored, snapshot);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(restored.applied_ops(), original.applied_ops());
@@ -61,8 +62,7 @@ void ExpectByteIdenticalContinuation(uint64_t seed, size_t threads) {
   // Same checkpoint bytes from the restored engine.
   EXPECT_EQ(CheckpointToString(restored), snapshot);
 
-  // Same subsequent match stream, record for record, via the parallel
-  // batched path when threads > 1.
+  // Same subsequent match stream, record for record, fed as one batch.
   CollectingSink a, b;
   std::span<const UpdateOp> rest(c.stream.data() + half,
                                  c.stream.size() - half);
@@ -78,13 +78,102 @@ void ExpectByteIdenticalContinuation(uint64_t seed, size_t threads) {
 
 TEST(Checkpoint, RoundTripIsByteIdenticalSequential) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    ExpectByteIdenticalContinuation(seed, /*threads=*/1);
+    ExpectByteIdenticalContinuation(seed);
   }
+}
+
+class PerQuerySink : public multi::QuerySet::Sink {
+ public:
+  void OnMatch(multi::QueryId query, bool positive,
+               const Mapping& m) override {
+    sinks_[query].OnMatch(positive, m);
+  }
+  const CollectingSink& of(multi::QueryId q) { return sinks_[q]; }
+
+ private:
+  std::map<multi::QueryId, CollectingSink> sinks_;
+};
+
+std::string CheckpointToString(const multi::QuerySet& set) {
+  std::ostringstream os;
+  Status st = set.Checkpoint(os);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return os.str();
+}
+
+/// The same property for the one parallel evaluation path: a QuerySet
+/// holding `kCopies` unshared runtimes of the query, evaluated on four
+/// workers, restored from its snapshot into a fresh four-worker set,
+/// writes the same snapshot and reports, to every copy, the same
+/// continuation records as a restored sequential engine.
+void ExpectByteIdenticalParallelContinuation(uint64_t seed) {
+  constexpr multi::QueryId kCopies = 4;
+  // Fewer labels and a path query than the engine-only case, so that the
+  // continuation reports matches for the copies to agree on.
+  testutil::RandomCaseConfig cfg;
+  cfg.num_vertex_labels = 2;
+  cfg.num_edge_labels = 1;
+  cfg.stream_ops = 60;
+  cfg.query_edges = 2;
+  testutil::RandomCase c = testutil::MakeRandomCase(seed, cfg);
+  const size_t half = c.stream.size() / 2;
+  const Deadline inf = Deadline::Infinite();
+  std::span<const UpdateOp> head(c.stream.data(), half);
+  std::span<const UpdateOp> rest(c.stream.data() + half,
+                                 c.stream.size() - half);
+
+  multi::QuerySetOptions opts;
+  opts.threads = 4;
+  opts.share_identical = false;
+  multi::QuerySet original(opts);
+  original.Bind(c.g0);
+  PerQuerySink discard;
+  for (multi::QueryId k = 0; k < kCopies; ++k) {
+    multi::QueryId id = 0;
+    ASSERT_TRUE(original.Register(c.query, discard, inf, &id).ok());
+    ASSERT_EQ(id, k);
+  }
+  ASSERT_TRUE(original.ApplyBatch(head, discard, inf).ok());
+  std::string snapshot = CheckpointToString(original);
+
+  multi::QuerySet restored(opts);
+  std::istringstream is(snapshot);
+  Status st = restored.Restore(is);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(restored.applied_ops(), original.applied_ops());
+  EXPECT_EQ(restored.RuntimeCount(), size_t{kCopies});
+  EXPECT_EQ(CheckpointToString(restored), snapshot);
+
+  // Sequential reference: one engine over the same prefix, fed the rest.
+  TurboFluxEngine seq;
+  DiscardSink seq_discard;
+  BuildEngine(seq, c, half, seq_discard);
+  CollectingSink want;
+  ASSERT_TRUE(seq.ApplyBatch(rest, want, inf));
+  EXPECT_GT(want.size(), 0u);
+
+  PerQuerySink a, b;
+  ASSERT_TRUE(original.ApplyBatch(rest, a, inf).ok());
+  ASSERT_TRUE(restored.ApplyBatch(rest, b, inf).ok());
+  for (multi::QueryId k = 0; k < kCopies; ++k) {
+    for (PerQuerySink* got : {&a, &b}) {
+      const CollectingSink& g = got->of(k);
+      ASSERT_EQ(g.size(), want.size()) << "copy " << k;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(g.records()[i].positive, want.records()[i].positive)
+            << "copy " << k << " at " << i;
+        EXPECT_EQ(g.records()[i].mapping, want.records()[i].mapping)
+            << "copy " << k << " at " << i;
+      }
+    }
+  }
+  EXPECT_EQ(CheckpointToString(restored), CheckpointToString(original));
 }
 
 TEST(Checkpoint, RoundTripIsByteIdenticalParallel) {
   for (uint64_t seed : {5u, 6u}) {
-    ExpectByteIdenticalContinuation(seed, /*threads=*/4);
+    ExpectByteIdenticalContinuation(seed);
+    ExpectByteIdenticalParallelContinuation(seed);
   }
 }
 

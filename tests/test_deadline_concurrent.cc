@@ -1,8 +1,8 @@
-// Deadline under concurrency (the parallel batch path polls one shared
-// deadline from every worker) plus the engine's cut-short-batch
-// semantics: when a deadline expires mid-batch, ApplyBatch must return
-// false, report exactly the matches of some prefix of the window (whole
-// ops, in stream order), and leave the engine dead to further updates.
+// Deadline under concurrency (the QuerySet's cross-query workers poll one
+// shared deadline) plus the engine's cut-short-batch semantics: when a
+// deadline expires mid-batch, ApplyBatch must return false, report a
+// record prefix of the sequential run's matches (the cut may fall inside
+// an op), and leave the engine dead to further updates.
 
 #include <atomic>
 #include <chrono>
@@ -75,47 +75,34 @@ TEST(DeadlineConcurrent, ExpiryIsObservedByAllPollersAndSticks) {
 
 using Records = std::vector<CollectingSink::Record>;
 
-// Sequentially replays `stream` on a fresh engine, returning each op's
-// match records separately (the reference for prefix checks).
-std::vector<Records> SequentialPerOp(const RandomCase& c,
-                                     const UpdateStream& stream) {
+// The sequential run's match records for `stream` on a fresh engine (the
+// reference for prefix checks).
+Records SequentialRecords(const RandomCase& c, const UpdateStream& stream) {
   TurboFluxEngine seq;
   CountingSink init;
   EXPECT_TRUE(seq.Init(c.query, c.g0, init, Deadline::Infinite()));
-  std::vector<Records> out;
+  CollectingSink sink;
   for (const UpdateOp& op : stream) {
-    CollectingSink sink;
     EXPECT_TRUE(seq.ApplyUpdate(op, sink, Deadline::Infinite()));
-    out.push_back(sink.records());
   }
-  return out;
+  return sink.records();
 }
 
-bool SameRecord(const CollectingSink::Record& a,
-                const CollectingSink::Record& b) {
-  return a.positive == b.positive && a.mapping == b.mapping;
-}
-
-// True iff `got` equals the concatenation of per_op[0..k) for some k.
-bool IsPerOpPrefix(const Records& got, const std::vector<Records>& per_op) {
-  size_t pos = 0;
-  if (got.empty()) return true;
-  for (const Records& op_records : per_op) {
-    for (const CollectingSink::Record& r : op_records) {
-      if (pos == got.size()) return false;  // cut inside an op
-      if (!SameRecord(got[pos], r)) return false;
-      ++pos;
+// True iff `got` is a prefix of `all`, record for record.
+bool IsRecordPrefix(const Records& got, const Records& all) {
+  if (got.size() > all.size()) return false;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].positive != all[i].positive ||
+        got[i].mapping != all[i].mapping) {
+      return false;
     }
-    if (pos == got.size()) return true;
   }
-  return pos == got.size();
+  return true;
 }
 
 TEST(DeadlineConcurrent, PreExpiredDeadlineCutsBatchToEmptyPrefix) {
   RandomCase c = MakeRandomCase(3, TreeConfig());
-  TurboFluxOptions opt;
-  opt.threads = 4;
-  TurboFluxEngine engine(opt);
+  TurboFluxEngine engine;
   CountingSink init;
   ASSERT_TRUE(engine.Init(c.query, c.g0, init, Deadline::Infinite()));
 
@@ -127,12 +114,13 @@ TEST(DeadlineConcurrent, PreExpiredDeadlineCutsBatchToEmptyPrefix) {
   EXPECT_FALSE(engine.ApplyBatch(c.stream, sink, d));
   EXPECT_EQ(sink.size(), 0u);
   // The engine is dead after a cut-short batch: further updates refuse.
+  EXPECT_TRUE(engine.dead());
   EXPECT_FALSE(
       engine.ApplyUpdate(c.stream[0], sink, Deadline::Infinite()));
   EXPECT_EQ(sink.size(), 0u);
 }
 
-TEST(DeadlineConcurrent, MidBatchExpiryReportsWholeOpPrefix) {
+TEST(DeadlineConcurrent, MidBatchExpiryReportsRecordPrefix) {
   RandomCase c = MakeRandomCase(5, TreeConfig());
   // Lengthen the window (repeats are legal: duplicate inserts and
   // deletes of absent edges are no-ops) so a short deadline can land
@@ -141,28 +129,25 @@ TEST(DeadlineConcurrent, MidBatchExpiryReportsWholeOpPrefix) {
   for (int r = 0; r < 8; ++r) {
     for (const UpdateOp& op : c.stream) stream.push_back(op);
   }
-  std::vector<Records> per_op = SequentialPerOp(c, stream);
+  const Records all = SequentialRecords(c, stream);
 
   // Whether the deadline fires before, during, or after the batch is
   // timing-dependent; all three outcomes must satisfy the contract.
-  TurboFluxOptions opt;
-  opt.threads = 4;
-  TurboFluxEngine engine(opt);
+  TurboFluxEngine engine;
   CountingSink init;
   ASSERT_TRUE(engine.Init(c.query, c.g0, init, Deadline::Infinite()));
   CollectingSink sink;
   bool ok = engine.ApplyBatch(stream, sink, Deadline::AfterMillis(2));
   if (ok) {
-    size_t total = 0;
-    for (const Records& r : per_op) total += r.size();
-    EXPECT_EQ(sink.size(), total);
+    EXPECT_EQ(sink.size(), all.size());
   } else {
+    EXPECT_TRUE(engine.dead());
     EXPECT_FALSE(
         engine.ApplyUpdate(stream[0], sink, Deadline::Infinite()));
   }
-  EXPECT_TRUE(IsPerOpPrefix(sink.records(), per_op))
+  EXPECT_TRUE(IsRecordPrefix(sink.records(), all))
       << "reported " << sink.size()
-      << " records, not a whole-op prefix of the sequential run";
+      << " records, not a prefix of the sequential run's " << all.size();
 }
 
 }  // namespace

@@ -1,8 +1,5 @@
 #include "turboflux/harness/fault_injection.h"
 
-#include <thread>
-#include <vector>
-
 #include "gtest/gtest.h"
 #include "testutil.h"
 #include "turboflux/core/turboflux.h"
@@ -14,7 +11,6 @@ TEST(FaultInjector, DisabledPlanNeverFires) {
   FaultInjector inj(FaultPlan{});
   for (int i = 0; i < 1000; ++i) {
     EXPECT_FALSE(inj.ShouldFailOp());
-    EXPECT_FALSE(inj.ShouldFailBatchEval());
   }
   EXPECT_FALSE(inj.fired());
 }
@@ -28,24 +24,6 @@ TEST(FaultInjector, FiresExactlyOnceAtTheMarkedOp) {
   EXPECT_TRUE(inj.ShouldFailOp());
   EXPECT_TRUE(inj.fired());
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(inj.ShouldFailOp());
-}
-
-TEST(FaultInjector, BatchTriggerIsIndependentAndThreadSafe) {
-  FaultPlan plan;
-  plan.batch_phase1_fail_after = 50;
-  FaultInjector inj(plan);
-  std::atomic<int> fires{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 100; ++i) {
-        if (inj.ShouldFailBatchEval()) ++fires;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(fires.load(), 1);
-  EXPECT_FALSE(inj.ShouldFailOp());  // op trigger disabled in this plan
 }
 
 TEST(CorruptSnapshot, FlipsOneBitInBounds) {

@@ -3,7 +3,7 @@
 // orders, same serialized bytes — to the node-based layout it replaced,
 // which `legacy::NodeGraph` preserves verbatim as the oracle. On top of
 // the container-level sweep, an engine-level grid pins checkpoint bytes,
-// the match stream, and the PR 3 counter fingerprint across threads×batch
+// the match stream, and the PR 3 counter fingerprint across batch-window
 // configurations, so the layout rework cannot leak slab/bucket geometry
 // into anything observable. A delete-heavy regression closes the loop on
 // the unbounded-tombstone fix: the layout gauges must stay bounded when
@@ -138,8 +138,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LayoutDifferentialSweep,
 
 // ---------------------------------------------------------------------------
 // Engine level: checkpoint bytes + match stream + counter fingerprint must
-// be identical across the threads×batch grid (the layout rework must not
-// interact with the parallel path's replica machinery).
+// be identical across batch window sizes.
 // ---------------------------------------------------------------------------
 
 testutil::RandomCaseConfig GridConfig() {
@@ -164,11 +163,8 @@ struct EngineRun {
   uint64_t intermediate = 0;
 };
 
-void RunEngine(const testutil::RandomCase& c, size_t threads, size_t batch,
-               EngineRun& out) {
-  TurboFluxOptions options;
-  options.threads = threads;
-  TurboFluxEngine engine(options);
+void RunEngine(const testutil::RandomCase& c, size_t batch, EngineRun& out) {
+  TurboFluxEngine engine;
   CountingSink init_sink;
   ASSERT_TRUE(engine.Init(c.query, c.g0, init_sink, Deadline::Infinite()));
   for (size_t i = 0; i < c.stream.size(); i += batch) {
@@ -206,30 +202,26 @@ TEST_P(LayoutEngineGrid, CheckpointBytesAndCountersStableAcrossGrid) {
   ASSERT_TRUE(testutil::RunCase(oracle, c, oracle_stream, &oracle_initial));
 
   EngineRun reference;
-  RunEngine(c, /*threads=*/1, /*batch=*/1, reference);
+  RunEngine(c, /*batch=*/1, reference);
   ASSERT_TRUE(testutil::SameMatches(reference.matches, oracle_stream))
       << "seed=" << seed;
 
-  for (size_t threads : {2u, 4u}) {
-    for (size_t batch : {7u, 64u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      EngineRun run;
-      RunEngine(c, threads, batch, run);
-      // Byte-identical checkpoints: slab/bucket geometry never reaches
-      // the serialized form, so every configuration writes the same
-      // snapshot.
-      EXPECT_EQ(run.checkpoint_bytes, reference.checkpoint_bytes);
-      EXPECT_TRUE(testutil::SameMatches(run.matches, reference.matches));
-      EXPECT_EQ(run.ops_insert, reference.ops_insert);
-      EXPECT_EQ(run.ops_delete, reference.ops_delete);
-      EXPECT_EQ(run.insert_evals, reference.insert_evals);
-      EXPECT_EQ(run.delete_evals, reference.delete_evals);
-      EXPECT_EQ(run.matches_positive, reference.matches_positive);
-      EXPECT_EQ(run.matches_negative, reference.matches_negative);
-      EXPECT_EQ(run.dcg_transitions, reference.dcg_transitions);
-      EXPECT_EQ(run.intermediate, reference.intermediate);
-    }
+  for (size_t batch : {7u, 64u}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    EngineRun run;
+    RunEngine(c, batch, run);
+    // Byte-identical checkpoints: slab/bucket geometry never reaches the
+    // serialized form, so every configuration writes the same snapshot.
+    EXPECT_EQ(run.checkpoint_bytes, reference.checkpoint_bytes);
+    EXPECT_TRUE(testutil::SameMatches(run.matches, reference.matches));
+    EXPECT_EQ(run.ops_insert, reference.ops_insert);
+    EXPECT_EQ(run.ops_delete, reference.ops_delete);
+    EXPECT_EQ(run.insert_evals, reference.insert_evals);
+    EXPECT_EQ(run.delete_evals, reference.delete_evals);
+    EXPECT_EQ(run.matches_positive, reference.matches_positive);
+    EXPECT_EQ(run.matches_negative, reference.matches_negative);
+    EXPECT_EQ(run.dcg_transitions, reference.dcg_transitions);
+    EXPECT_EQ(run.intermediate, reference.intermediate);
   }
 
   // And the reference snapshot restores into an engine whose own

@@ -346,20 +346,10 @@ TEST(QuerySet, AppendStatsExportsPerQueryAttribution) {
                 snap.Value("queryset.q1.routed_ops"));
   // Engine counters ride along under the runtime's lowest member id.
   EXPECT_GT(snap.Value("queryset.q0.engine.ops_insert"), 0u);
-}
-
-TEST(QuerySet, PrefixGroupShapeTracksGroups) {
-  Fixture f;
-  QuerySet set;
-  set.Bind(f.g0);
-  RecordingSink sink;
-  Deadline inf = Deadline::Infinite();
-  QueryId id = 0;
-  ASSERT_TRUE(set.Register(f.path, sink, inf, &id).ok());
-  ASSERT_TRUE(set.Register(f.single, sink, inf, &id).ok());
-  auto [groups, largest] = set.PrefixGroupShape();
-  EXPECT_GE(groups, 1u);
-  EXPECT_GE(largest, 1u);
+  // Shared-prefix grouping: two registered queries, at least one group.
+  EXPECT_GE(snap.Value("queryset.prefix_groups"), 1u);
+  EXPECT_GE(snap.Value("queryset.prefix_group_max"), 1u);
+  EXPECT_LE(snap.Value("queryset.prefix_groups"), 2u);
 }
 
 TEST(RoutingIndex, WildcardAndLabeledProbesAreSound) {
@@ -390,9 +380,9 @@ TEST(RoutingIndex, WildcardAndLabeledProbesAreSound) {
 // (CI runs --gtest_filter including QuerySetSyncStress.*).
 TEST(QuerySetSyncStress, ConcurrentRegistrationAndEvaluation) {
   Fixture f;
-  QuerySetOptions options;
-  options.threads = 2;  // exercise the pool under churn too
-  QuerySet set(options);
+  QuerySetOptions set_opts;
+  set_opts.threads = 2;  // exercise the pool under churn too
+  QuerySet set(set_opts);
   set.Bind(f.g0);
   RecordingSink sink;
   Deadline inf = Deadline::Infinite();

@@ -81,9 +81,9 @@ void RunSeed(uint64_t seed, const Scenario& scenario) {
       world.query,  // the duplicate, registered at kRegisterDupAt
   };
 
-  multi::QuerySetOptions options;
-  options.threads = scenario.threads;
-  multi::QuerySet set(options);
+  multi::QuerySetOptions set_opts;
+  set_opts.threads = scenario.threads;
+  multi::QuerySet set(set_opts);
   set.Bind(world.g0);
   Deadline inf = Deadline::Infinite();
 

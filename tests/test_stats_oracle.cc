@@ -5,11 +5,11 @@
 // from RebuildDcgFromScratch, checkpoint bytes from the snapshot string.
 //
 // Structure per (seed, config): the oracle and a plain graph replay
-// establish ground truth once; a sequential TurboFlux run is checked
-// against it; then threads x batch variants are checked for the *same*
-// counter values (the parallel path must not change what is counted, only
-// who counts it — see the drain accounting in obs/engine_stats.h).
-// 2 configs x 25 seeds x 4 engine runs = 200 seeded cases.
+// establish ground truth once; a one-op-at-a-time TurboFlux run is checked
+// against it; then a batched run and a two-worker QuerySet run are checked
+// for the *same* counter values (batching and cross-query threads may
+// change who evaluates an op, never what is counted).
+// 2 configs x 25 seeds x 3 runs = 150 seeded cases.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include "turboflux/common/deadline.h"
 #include "turboflux/core/turboflux.h"
 #include "turboflux/graph/update_stream.h"
+#include "turboflux/multi/query_set.h"
 #include "turboflux/obs/engine_stats.h"
 
 namespace turboflux {
@@ -82,9 +83,9 @@ void ComputeGroundTruth(const testutil::RandomCase& c, GroundTruth& gt) {
   }
 }
 
-/// The counter values that must be identical across every threads/batch
-/// configuration (parallel evaluation may only move work, never change
-/// totals).
+/// The counter values that must be identical across every evaluation
+/// strategy (batching and cross-query threads may only move work, never
+/// change totals).
 struct CounterFingerprint {
   uint64_t ops_insert, ops_delete, insert_evals, delete_evals;
   uint64_t search_seeds, search_states;
@@ -107,30 +108,23 @@ struct CounterFingerprint {
   bool operator==(const CounterFingerprint&) const = default;
 };
 
-/// Runs TurboFlux over the case with the given threads/batch and checks
-/// every exported counter against the ground truth. Returns the
-/// fingerprint for cross-configuration comparison.
+/// Runs TurboFlux over the case in windows of `batch` ops and checks every
+/// exported counter against the ground truth. Returns the fingerprint for
+/// cross-configuration comparison.
 CounterFingerprint RunAndCheck(const testutil::RandomCase& c,
-                               const GroundTruth& gt, size_t threads,
-                               size_t batch) {
-  TurboFluxOptions options;
-  options.threads = threads;
-  TurboFluxEngine engine(options);
+                               const GroundTruth& gt, size_t batch) {
+  TurboFluxEngine engine;
   CollectingSink init_sink;
   EXPECT_TRUE(engine.Init(c.query, c.g0, init_sink, Deadline::Infinite()));
   EXPECT_EQ(init_sink.size(), gt.initial_matches);
 
   CollectingSink stream_sink;
-  uint64_t windows = 0, parallel_windows = 0, parallel_ops = 0;
+  uint64_t windows = 0;
   for (size_t i = 0; i < c.stream.size(); i += batch) {
     const size_t n = std::min(batch, c.stream.size() - i);
     std::span<const UpdateOp> window(c.stream.data() + i, n);
     EXPECT_TRUE(engine.ApplyBatch(window, stream_sink, Deadline::Infinite()));
     ++windows;
-    if (threads > 1 && n > 1) {
-      ++parallel_windows;
-      parallel_ops += n;
-    }
   }
   EXPECT_TRUE(testutil::SameMatches(stream_sink, gt.oracle_stream));
 
@@ -170,27 +164,59 @@ CounterFingerprint RunAndCheck(const testutil::RandomCase& c,
                 (d.explicit_to_null.value() + d.implicit_to_null.value()),
             engine.IntermediateSize());
 
-  // Batch accounting: one `batches` tick per ApplyBatch call; the
-  // parallel path only engages for multi-op windows with threads > 1, and
-  // then every window op is phase-1-evaluated by exactly one worker.
+  // Batch accounting: one `batches` tick per ApplyBatch call.
   EXPECT_EQ(es->batches.value(), windows);
-  EXPECT_EQ(es->parallel_batches.value(), parallel_windows);
-  EXPECT_EQ(es->scheduler.partitions.value(), parallel_windows);
-  EXPECT_EQ(es->scheduler.scheduled_ops.value(), parallel_ops);
-  uint64_t worker_total = 0;
-  for (const obs::Counter& w : es->worker_ops) worker_total += w.value();
-  EXPECT_EQ(worker_total, parallel_ops);
-  // Sub-batches cover the scheduled ops (conflicts split windows, so
-  // their count lies between "all singletons" and "one per window").
-  EXPECT_GE(es->scheduler.sub_batches.value(), parallel_windows);
-  EXPECT_LE(es->scheduler.sub_batches.value(), parallel_ops);
-  if (threads > 1) {
-    EXPECT_EQ(es->phase1_seconds.data().count, es->phase2_seconds.data().count);
-  }
 
   // Final structure sanity against the bare replay.
   EXPECT_EQ(engine.graph().EdgeCount(), gt.final_edges);
   return CounterFingerprint::Of(*es);
+}
+
+class DiscardQuerySetSink : public multi::QuerySet::Sink {
+ public:
+  void OnMatch(multi::QueryId, bool, const Mapping&) override {}
+};
+
+/// The same stream through a QuerySet serving two copies of the query on
+/// two cross-query workers, in windows of `batch` ops: each query's match
+/// attribution must equal the oracle's stream counts, and each runtime's
+/// search, match and DCG counters must equal the standalone run's — the
+/// shared graph changes who mutates the graph, not what is evaluated.
+void CheckQuerySet(const testutil::RandomCase& c, const GroundTruth& gt,
+                   const CounterFingerprint& expected, size_t batch) {
+  multi::QuerySetOptions set_opts;
+  set_opts.threads = 2;
+  set_opts.share_identical = false;
+  multi::QuerySet set(set_opts);
+  set.Bind(c.g0);
+  DiscardQuerySetSink sink;
+  for (multi::QueryId k = 0; k < 2; ++k) {
+    multi::QueryId id = 0;
+    ASSERT_TRUE(set.Register(c.query, sink, Deadline::Infinite(), &id).ok());
+    ASSERT_EQ(id, k);
+  }
+  for (size_t i = 0; i < c.stream.size(); i += batch) {
+    const size_t n = std::min(batch, c.stream.size() - i);
+    std::span<const UpdateOp> window(c.stream.data() + i, n);
+    ASSERT_TRUE(set.ApplyBatch(window, sink, Deadline::Infinite()).ok());
+  }
+
+  obs::StatsSnapshot snap;
+  set.AppendStats(snap);
+  for (const std::string q : {"queryset.q0.", "queryset.q1."}) {
+    SCOPED_TRACE(q);
+    EXPECT_EQ(snap.Value(q + "matches_positive"), gt.stream_positive);
+    EXPECT_EQ(snap.Value(q + "matches_negative"), gt.stream_negative);
+    EXPECT_EQ(snap.Value(q + "engine.search_seeds"), expected.search_seeds);
+    EXPECT_EQ(snap.Value(q + "engine.search_states"), expected.search_states);
+    EXPECT_EQ(snap.Value(q + "engine.matches_positive"),
+              expected.matches_positive);
+    EXPECT_EQ(snap.Value(q + "engine.matches_negative"),
+              expected.matches_negative);
+    EXPECT_EQ(snap.Value(q + "engine.dcg.transitions"), expected.transitions);
+    EXPECT_EQ(snap.Value(q + "engine.intermediate_size"),
+              expected.intermediate_size);
+  }
 }
 
 class StatsOracle
@@ -204,13 +230,11 @@ TEST_P(StatsOracle, CountersEqualGroundTruthAcrossThreadsAndBatches) {
   GroundTruth gt;
   ASSERT_NO_FATAL_FAILURE(ComputeGroundTruth(c, gt));
 
-  const CounterFingerprint sequential = RunAndCheck(c, gt, 1, 1);
+  const CounterFingerprint sequential = RunAndCheck(c, gt, 1);
   // The same totals must come out of every evaluation strategy: batched
-  // sequential, parallel per-op (degenerates to sequential), and the real
-  // two-phase parallel path.
-  EXPECT_EQ(RunAndCheck(c, gt, 1, 7), sequential);
-  EXPECT_EQ(RunAndCheck(c, gt, 2, 1), sequential);
-  EXPECT_EQ(RunAndCheck(c, gt, 2, 7), sequential);
+  // windows, and the QuerySet's two cross-query workers.
+  EXPECT_EQ(RunAndCheck(c, gt, 7), sequential);
+  CheckQuerySet(c, gt, sequential, 7);
 }
 
 INSTANTIATE_TEST_SUITE_P(

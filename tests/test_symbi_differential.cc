@@ -1,8 +1,8 @@
 // Engine-differential test net (ISSUE 9 satellite): SymBi, TurboFlux, and
 // the exponential OracleEngine consume identical op tapes, and every op's
-// match multiset must coincide across all three — then across the
-// threads×batch grid (TurboFlux's parallel path, both engines' batch
-// windows), and finally under kill/restore replay through RunResilient,
+// match multiset must coincide across all three — then across batch
+// window sizes (both engines' ApplyBatch), and finally under kill/restore
+// replay through RunResilient,
 // where the faulted SymBi run must reproduce the unfaulted run's record
 // stream byte-for-byte.
 
@@ -128,8 +128,8 @@ void DifferentialSeed(uint64_t seed) {
         << c.stream[i].ToString() << ")";
   }
 
-  // 2. The threads×batch grid: TurboFlux's parallel batches and SymBi's
-  // sequential batch windows must all land on the same total multiset.
+  // 2. Batch windows: both engines' ApplyBatch over every window size must
+  // land on the same total multiset.
   CollectingSink symbi_seq;
   {
     symbi::SymBiEngine engine;
@@ -137,27 +137,22 @@ void DifferentialSeed(uint64_t seed) {
     ASSERT_TRUE(RunBatched(engine, c, /*batch=*/1, symbi_seq, &initial));
     EXPECT_EQ(initial, symbi_initial);
   }
-  for (size_t threads : {2u, 4u}) {
-    for (size_t batch : {7u, 64u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      TurboFluxOptions options;
-      options.threads = threads;
-      TurboFluxEngine grid_tfx(options);
-      CollectingSink tfx_matches;
-      uint64_t initial = 0;
-      ASSERT_TRUE(RunBatched(grid_tfx, c, batch, tfx_matches, &initial));
-      EXPECT_EQ(initial, symbi_initial);
-      EXPECT_TRUE(testutil::SameMatches(tfx_matches, symbi_seq));
+  for (size_t batch : {7u, 64u}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    TurboFluxEngine grid_tfx;
+    CollectingSink tfx_matches;
+    uint64_t initial = 0;
+    ASSERT_TRUE(RunBatched(grid_tfx, c, batch, tfx_matches, &initial));
+    EXPECT_EQ(initial, symbi_initial);
+    EXPECT_TRUE(testutil::SameMatches(tfx_matches, symbi_seq));
 
-      symbi::SymBiEngine grid_symbi;
-      CollectingSink symbi_matches;
-      ASSERT_TRUE(RunBatched(grid_symbi, c, batch, symbi_matches, &initial));
-      EXPECT_EQ(initial, symbi_initial);
-      // Same engine, different window size: record order is preserved,
-      // not merely the multiset.
-      ExpectSameRecords(symbi_seq, symbi_matches, "SymBi batch window");
-    }
+    symbi::SymBiEngine grid_symbi;
+    CollectingSink symbi_matches;
+    ASSERT_TRUE(RunBatched(grid_symbi, c, batch, symbi_matches, &initial));
+    EXPECT_EQ(initial, symbi_initial);
+    // Same engine, different window size: record order is preserved,
+    // not merely the multiset.
+    ExpectSameRecords(symbi_seq, symbi_matches, "SymBi batch window");
   }
 
   // 3. Kill/restore replay: a faulted resilient SymBi run must deliver the

@@ -20,8 +20,9 @@
 // Matches printed by --print_matches are prefixed with the query id.
 //
 // --batch=K feeds the stream to the engine in windows of K ops via
-// ApplyBatch; --threads=N (TurboFlux only) evaluates each window on N
-// threads. Output is identical to the sequential run.
+// ApplyBatch. Output is identical to the one-op-at-a-time run. --threads
+// applies to --queries mode only; a single query always runs on one
+// thread.
 //
 // --lenient skips (and counts to stderr) malformed graph/stream records
 // instead of aborting on the first one.
@@ -120,10 +121,10 @@ int RunQuerySet(const std::string& queries_dir, const Graph& g0,
     return 2;
   }
 
-  multi::QuerySetOptions options;
-  options.engine.semantics = semantics;
-  options.threads = threads > 1 ? static_cast<size_t>(threads) : 1;
-  multi::QuerySet set(options);
+  multi::QuerySetOptions set_opts;
+  set_opts.engine.semantics = semantics;
+  set_opts.threads = threads > 1 ? static_cast<size_t>(threads) : 1;
+  multi::QuerySet set(set_opts);
   set.Bind(g0);
 
   QuerySetPrintSink sink(print_matches);
@@ -259,9 +260,10 @@ int Main(int argc, char** argv) {
                  "[--stats-every=N]\n");
     return 2;
   }
-  if (threads > 1 && engine_name != "turboflux") {
+  if (threads > 1 && queries_dir.empty()) {
     std::fprintf(stderr,
-                 "--threads is only supported by --engine=turboflux\n");
+                 "--threads only applies to --queries mode (cross-query "
+                 "evaluation); a single --query runs on one thread\n");
     return 2;
   }
   if (resilient && engine_name != "turboflux" && engine_name != "symbi") {
@@ -333,7 +335,6 @@ int Main(int argc, char** argv) {
     } else {
       TurboFluxOptions options;
       options.semantics = semantics;
-      options.threads = threads > 1 ? static_cast<size_t>(threads) : 1;
       resilient_engine = std::make_unique<TurboFluxEngine>(options);
     }
 
@@ -379,7 +380,6 @@ int Main(int argc, char** argv) {
   if (engine_name == "turboflux") {
     TurboFluxOptions options;
     options.semantics = semantics;
-    options.threads = threads > 1 ? static_cast<size_t>(threads) : 1;
     engine = std::make_unique<TurboFluxEngine>(options);
   } else if (engine_name == "symbi") {
     symbi::SymBiOptions options;
