@@ -27,6 +27,7 @@ void Dcg::Reset(size_t num_data_vertices, const QueryTree& tree) {
   num_qv_ = tree.VertexCount();
   slot_of_.assign(num_data_vertices, kNoSlot);
   pool_.clear();
+  vertex_of_slot_.clear();
   edge_count_ = 0;
   explicit_count_ = 0;
   explicit_per_qv_.assign(num_qv_, 0);
@@ -37,8 +38,15 @@ uint32_t Dcg::EnsureSlot(VertexId v) {
   if (slot_of_[v] == kNoSlot) {
     slot_of_[v] = static_cast<uint32_t>(pool_.size());
     pool_.emplace_back(num_qv_);
+    vertex_of_slot_.push_back(v);
   }
   return slot_of_[v];
+}
+
+std::vector<VertexId> Dcg::PopulatedIds() const {
+  std::vector<VertexId> ids = vertex_of_slot_;
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 DcgState Dcg::GetState(VertexId from, QVertexId u, VertexId to) const {
@@ -197,9 +205,8 @@ void Dcg::Serialize(std::string& out) const {
   bin::PutU64(out, pool_.size());
   // Iteration is by vertex id, not slot order, so the bytes are
   // independent of pool allocation order.
-  for (VertexId v = 0; v < slot_of_.size(); ++v) {
+  for (VertexId v : PopulatedIds()) {
     const Node* node = GetNode(v);
-    if (node == nullptr) continue;
     bin::PutU32(out, v);
     for (QVertexId u = 0; u < num_qv_; ++u) {
       bin::PutU32(out, static_cast<uint32_t>(node->in[u].size()));
@@ -222,6 +229,7 @@ Status Dcg::Deserialize(bin::Reader& in, size_t num_data_vertices,
   auto fail = [this](const std::string& what) {
     slot_of_.clear();
     pool_.clear();
+    vertex_of_slot_.clear();
     edge_count_ = 0;
     explicit_count_ = 0;
     explicit_per_qv_.assign(num_qv_, 0);
@@ -309,9 +317,8 @@ Status Dcg::Deserialize(bin::Reader& in, size_t num_data_vertices,
 std::vector<Dcg::EdgeTuple> Dcg::Snapshot() const {
   std::vector<EdgeTuple> edges;
   edges.reserve(edge_count_);
-  for (VertexId v = 0; v < slot_of_.size(); ++v) {
+  for (VertexId v : PopulatedIds()) {
     const Node* node = GetNode(v);
-    if (node == nullptr) continue;
     for (QVertexId u = 0; u < num_qv_; ++u) {
       for (const InEdge& e : node->in[u]) {
         edges.emplace_back(e.from, u, v, e.state);
@@ -343,9 +350,8 @@ std::string Dcg::Validate() const {
   size_t explicit_edges = 0;
   std::vector<uint64_t> explicit_per_qv(num_qv_, 0);
 
-  for (VertexId v = 0; v < slot_of_.size(); ++v) {
+  for (VertexId v : PopulatedIds()) {
     const Node* node = GetNode(v);
-    if (node == nullptr) continue;
     for (QVertexId u = 0; u < num_qv_; ++u) {
       // in_bits bit u <=> in[u] non-empty.
       bool bit = (node->in_bits >> u) & 1;

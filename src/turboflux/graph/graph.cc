@@ -64,6 +64,20 @@ char* SerializeAdjacency(const AdjPool<AdjEntry>& adj, char* p) {
   return p;
 }
 
+/// True when `list` holds some (other, label) entry twice. A (from,
+/// label, to) triple's repeats can only sit in one list (its source's
+/// out-list, its target's in-list), so sorting a copy of each list in one
+/// reused `scratch` buffer finds duplicates without a per-edge map.
+bool HasDuplicate(Graph::AdjView list, std::vector<AdjEntry>& scratch) {
+  if (list.size() < 2) return false;
+  scratch.assign(list.begin(), list.end());
+  auto less = [](const AdjEntry& a, const AdjEntry& b) {
+    return a.other != b.other ? a.other < b.other : a.label < b.label;
+  };
+  std::sort(scratch.begin(), scratch.end(), less);
+  return std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end();
+}
+
 }  // namespace
 
 void Graph::Serialize(std::string& out) const {
@@ -146,12 +160,37 @@ Status Graph::Deserialize(bin::Reader& in) {
       ++edge_count_;
     }
   }
-  std::string violation = CheckConsistency();
+  // The build above proves the out-side invariants: lists sized to the
+  // vertex count, ids in range, no duplicate out-edge, pair index and
+  // edge count equal to the out-adjacency. What is left is that the
+  // in-adjacency mirrors it.
+  std::string violation = CheckInMirrors();
   if (!violation.empty()) {
     *this = Graph();
     return Status::Corruption("graph: " + violation);
   }
   return Status::Ok();
+}
+
+std::string Graph::CheckInMirrors() const {
+  // Every in-entry must mirror a distinct out-edge: each one is in the
+  // pair index, none repeats, and the totals agree — so an in-list
+  // holding one edge twice and another not at all is rejected.
+  std::vector<AdjEntry> scratch;
+  size_t in_total = 0;
+  for (VertexId v = 0; v < in_adj_.ListCount(); ++v) {
+    AdjView list = in_adj_.View(v);
+    if (HasDuplicate(list, scratch)) return "duplicate in-adjacency entry";
+    for (const AdjEntry& e : list) {
+      if (!pair_index_.Contains(FlatPairTable::MakeKey(e.other, v),
+                                e.label)) {
+        return "in-adjacency entry without out mirror";
+      }
+    }
+    in_total += list.size();
+  }
+  if (in_total != edge_count_) return "in/out adjacency totals differ";
+  return "";
 }
 
 std::string Graph::CheckConsistency() const {
@@ -163,27 +202,14 @@ std::string Graph::CheckConsistency() const {
   if (pool.empty()) pool = in_adj_.CheckConsistency();
   if (pool.empty()) pool = pair_index_.CheckConsistency();
   if (!pool.empty()) return pool;
-  // A (from, label, to) triple's repeats can only sit in one list (its
-  // source's out-list, its target's in-list), so sorting a copy of each
-  // list in one reused scratch buffer finds duplicates without a per-edge
-  // map. Every out-entry is probed in the pair index; with no duplicate
+  // Every out-entry is probed in the pair index; with no duplicate
   // out-entries, the label count at the end proves the index holds
   // nothing else.
   std::vector<AdjEntry> scratch;
-  auto has_duplicate = [&scratch](AdjView list) {
-    if (list.size() < 2) return false;
-    scratch.assign(list.begin(), list.end());
-    auto less = [](const AdjEntry& a, const AdjEntry& b) {
-      return a.other != b.other ? a.other < b.other : a.label < b.label;
-    };
-    std::sort(scratch.begin(), scratch.end(), less);
-    return std::adjacent_find(scratch.begin(), scratch.end()) !=
-           scratch.end();
-  };
   size_t out_total = 0;
   for (VertexId v = 0; v < out_adj_.ListCount(); ++v) {
     AdjView list = out_adj_.View(v);
-    if (has_duplicate(list)) return "duplicate (from,label,to) edge";
+    if (HasDuplicate(list, scratch)) return "duplicate (from,label,to) edge";
     for (const AdjEntry& e : list) {
       if (!pair_index_.Contains(FlatPairTable::MakeKey(v, e.other),
                                 e.label)) {
@@ -192,23 +218,9 @@ std::string Graph::CheckConsistency() const {
     }
     out_total += list.size();
   }
-  // Every in-entry must mirror a distinct out-edge: each one is in the
-  // (now verified) pair index, none repeats, and the totals agree — so an
-  // in-list holding one edge twice and another not at all is rejected.
-  size_t in_total = 0;
-  for (VertexId v = 0; v < in_adj_.ListCount(); ++v) {
-    AdjView list = in_adj_.View(v);
-    if (has_duplicate(list)) return "duplicate in-adjacency entry";
-    for (const AdjEntry& e : list) {
-      if (!pair_index_.Contains(FlatPairTable::MakeKey(e.other, v),
-                                e.label)) {
-        return "in-adjacency entry without out mirror";
-      }
-    }
-    in_total += list.size();
-  }
-  if (in_total != out_total) return "in/out adjacency totals differ";
   if (out_total != edge_count_) return "edge_count_ mismatch";
+  std::string in_violation = CheckInMirrors();
+  if (!in_violation.empty()) return in_violation;
   size_t indexed = 0;
   std::string index_violation;
   pair_index_.ForEach([&](uint64_t key, FlatPairTable::LabelView labels) {

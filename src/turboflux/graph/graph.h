@@ -112,9 +112,10 @@ class Graph {
   void Serialize(std::string& out) const;
 
   /// Rebuilds the graph from `in` (replacing all current state). Every id
-  /// is bounds-checked and the in/out adjacency mirrors are
-  /// cross-validated, so corrupted input yields a kCorruption status
-  /// (with the graph left empty), never a crash or an inconsistent graph.
+  /// is bounds-checked, duplicate out-edges are rejected while the pair
+  /// index is built, and the in-adjacency is checked to mirror it, so
+  /// corrupted input yields a kCorruption status (with the graph left
+  /// empty), never a crash or an inconsistent graph.
   Status Deserialize(bin::Reader& in);
 
   /// Exhaustive internal-consistency check: the in-adjacency mirrors the
@@ -142,6 +143,11 @@ class Graph {
   uint64_t PairTableRehashes() const { return pair_index_.RehashCount(); }
 
  private:
+  /// The in-adjacency half of CheckConsistency: every in-entry mirrors a
+  /// distinct out-edge of the pair index and the totals agree. All that
+  /// Deserialize checks after its out-adjacency build.
+  std::string CheckInMirrors() const;
+
   std::vector<LabelSet> vertex_labels_;
   AdjPool<AdjEntry> out_adj_;
   AdjPool<AdjEntry> in_adj_;

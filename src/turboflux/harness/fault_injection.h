@@ -36,17 +36,18 @@ struct FaultPlan {
   /// the previous marker and regenerate the lost matches by replay.
   uint64_t matchlog_torn_at_commit = 0;
 
-  /// Kill the server during the Nth checkpoint, after the temp snapshot is
+  /// Kill the server during the Nth snapshot, after the temp file is
   /// written but before the atomic rename commits it.
   uint64_t die_before_snapshot_rename = 0;
 
-  /// Kill the server during the Nth checkpoint, immediately after the
+  /// Kill the server during the Nth snapshot, immediately after the
   /// rename (snapshot is newer than everything that follows it).
   uint64_t die_after_snapshot_rename = 0;
 
   /// Checkpoint-timer race: make the timer "fire" while the consumer is
   /// mid-way through its Nth drained batch, forcing a commit at an
-  /// arbitrary point between journal append and sink flush.
+  /// arbitrary point between journal append and sink flush; a forced
+  /// commit also snapshots.
   uint64_t force_checkpoint_at_batch = 0;
 
   /// Slow-consumer stall: the ingest loop sleeps `stall_ms` before
@@ -91,12 +92,12 @@ class FaultInjector {
     return Trips(matchlog_commits_seen_, plan_.matchlog_torn_at_commit);
   }
 
-  /// Called once per server checkpoint, before the snapshot rename.
+  /// Called once per server snapshot, before its rename.
   [[nodiscard]] bool ShouldDieBeforeSnapshotRename() {
     return Trips(pre_rename_seen_, plan_.die_before_snapshot_rename);
   }
 
-  /// Called once per server checkpoint, right after the snapshot rename.
+  /// Called once per server snapshot, right after its rename.
   [[nodiscard]] bool ShouldDieAfterSnapshotRename() {
     return Trips(post_rename_seen_, plan_.die_after_snapshot_rename);
   }
@@ -119,7 +120,16 @@ class FaultInjector {
   }
 
   const FaultPlan& plan() const { return plan_; }
-  uint64_t ops_seen() const { return ops_seen_.load(std::memory_order_relaxed); }
+  /// True when every armed snapshot-rename trigger has fired (vacuously
+  /// when none is armed), so a test can tell a death it armed from one
+  /// the schedule never reached.
+  bool snapshot_faults_fired() const {
+    return Fired(pre_rename_seen_, plan_.die_before_snapshot_rename) &&
+           Fired(post_rename_seen_, plan_.die_after_snapshot_rename);
+  }
+  uint64_t ops_seen() const {
+    return ops_seen_.load(std::memory_order_relaxed);
+  }
   bool fired() const {
     return plan_.fail_at_op != 0 && ops_seen() >= plan_.fail_at_op;
   }
@@ -131,6 +141,10 @@ class FaultInjector {
                                   uint64_t trigger) {
     if (trigger == 0) return false;
     return seen.fetch_add(1, std::memory_order_relaxed) + 1 == trigger;
+  }
+
+  static bool Fired(const std::atomic<uint64_t>& seen, uint64_t trigger) {
+    return seen.load(std::memory_order_relaxed) >= trigger;
   }
 
   FaultPlan plan_;

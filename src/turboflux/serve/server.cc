@@ -20,6 +20,13 @@ int64_t NowMicros() {
       .count();
 }
 
+uint64_t NanosSince(Deadline::Clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          Deadline::Clock::now() - start)
+          .count());
+}
+
 void SleepMs(uint32_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
@@ -125,9 +132,11 @@ Status Server::Recover(const Graph* g0) {
                      &match_bytes);
   if (!s.ok()) return s;
 
-  // 3. Engine state: snapshot (position S) or fresh graph.
-  bool have_snapshot = std::filesystem::exists(SnapshotPath());
-  if (have_snapshot) {
+  // 3. Engine state: snapshot (position S) or fresh graph. A fresh dir
+  // gets its S=0 snapshot before Create returns, so a kill before the
+  // first commit leaves a dir that restarts without g0; that write also
+  // times the first snapshot for the replay budget.
+  if (std::filesystem::exists(SnapshotPath())) {
     std::ifstream in(SnapshotPath(), std::ios::binary);
     if (!in) {
       return Status::IoError("cannot open snapshot: " + SnapshotPath());
@@ -140,6 +149,8 @@ Status Server::Recover(const Graph* g0) {
           "fresh data dir needs an initial graph (g0)");
     }
     set_.Bind(*g0);
+    s = WriteSnapshot();
+    if (!s.ok()) return s;
   }
   uint64_t snapshot_pos = set_.applied_ops();  // S
   uint64_t journal_len = wal_records.size();   // J
@@ -174,7 +185,9 @@ Status Server::Recover(const Graph* g0) {
 
   // 5. Replay WAL[S, J). Matches from ops below W are regenerated into a
   // NullSink (already durable); from W on they join pending_matches_ and
-  // become durable at the post-recovery commit below.
+  // become durable at the post-recovery commit below. The replay is the
+  // debt a crash right now would owe again, so it seeds the budget's sum.
+  const Deadline::Clock::time_point replay_start = Deadline::Clock::now();
   NullSink null_sink;
   for (uint64_t i = snapshot_pos; i < journal_len; ++i) {
     uint64_t op_index = set_.applied_ops();
@@ -202,13 +215,17 @@ Status Server::Recover(const Graph* g0) {
   }
   accepted_ops_.store(journal_len, std::memory_order_relaxed);
   committed_ops_.store(watermark, std::memory_order_relaxed);
+  const uint64_t replayed = journal_len - snapshot_pos;
+  replay_debt_ops_.store(replayed, std::memory_order_relaxed);
+  replay_debt_ns_.store(replayed > 0 ? NanosSince(replay_start) : 0,
+                        std::memory_order_relaxed);
   last_commit_us_ = NowMicros();
 
-  // 7. Re-establish S = W = J so the next crash owes no replay for this
-  // prefix. Skipped when already clean (fresh dir or graceful shutdown).
-  if (journal_len > watermark || !pending_matches_.empty() ||
-      snapshot_pos < journal_len) {
-    s = Commit();
+  // 7. Re-establish W = J, so the replayed matches are durable. No
+  // snapshot: S stays behind and the replayed debt counts against the
+  // budget like ingest-time evaluation.
+  if (journal_len > watermark) {
+    s = CommitMatches();
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -230,9 +247,10 @@ Status Server::RegisterQuery(const QueryGraph& q, int priority,
     MutexLock lock(state_mu_);
     queries_[*id] = StandingQuery{q, priority, false};
   }
-  // Commit so the registration (snapshot) and its initial-match report
-  // (match log) are both durable before the caller proceeds.
-  return Commit();
+  // Commit with a snapshot: the journal does not record registrations,
+  // so both the query (snapshot) and its initial-match report (match
+  // log) must be durable before the caller proceeds.
+  return Commit(/*force_snapshot=*/true);
 }
 
 void Server::Start() {
@@ -248,9 +266,10 @@ void Server::Shutdown() {
   if (!died_.load(std::memory_order_acquire) &&
       !killed_.load(std::memory_order_acquire)) {
     MutexLock reg_lock(reg_mu_);
-    // Final commit so a later restart owes no replay. Failure here is
-    // not fatal to the data: recovery replays from the last good commit.
-    Status s = Commit();
+    // Final commit and snapshot so a later restart owes no replay.
+    // Failure here is not fatal to the data: recovery replays from the
+    // last good snapshot.
+    Status s = Commit(/*force_snapshot=*/true);
     if (!s.ok()) {
       died_.store(true, std::memory_order_release);
     }
@@ -328,9 +347,17 @@ void Server::ApplyTierActions(Tier t) {
     queries_[new_id] = StandingQuery{std::move(q), priority, false};
     shed_restores_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (!to_shed.empty() || !to_restore.empty()) {
+    // The journal does not record query-set changes: the next commit
+    // snapshots them. Set after the changes, so a snapshot that
+    // RegisterQuery takes in between cannot clear it early.
+    MutexLock reg_lock(reg_mu_);
+    snapshot_due_ = true;
+  }
 }
 
 Status Server::EvalOp(const PendingOp& op) {
+  const Deadline::Clock::time_point start = Deadline::Clock::now();
   uint64_t op_index = set_.applied_ops();
   TaggingSink sink(op_index, &pending_matches_);
   Status s = set_.ApplyUpdate(op.op, sink, Deadline::Infinite());
@@ -339,20 +366,43 @@ Status Server::EvalOp(const PendingOp& op) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(options_.eval_throttle_us));
   }
+  replay_debt_ops_.fetch_add(1, std::memory_order_relaxed);
+  replay_debt_ns_.fetch_add(NanosSince(start), std::memory_order_relaxed);
   return Status::Ok();
 }
 
-Status Server::Commit() {
+Status Server::CommitMatches() {
   uint64_t through = set_.applied_ops();
-  // 1. Match log first (W advances to `through`).
   Status s =
       match_log_.AppendCommit(pending_matches_, through, options_.injector);
   if (!s.ok()) {
     Die("match log commit: " + s.message());
     return s;
   }
-  // 2. Snapshot to a temp file, then atomic rename (S advances).
-  Stopwatch snapshot_watch;
+  pending_matches_.clear();
+  ops_since_commit_ = 0;
+  last_commit_us_ = NowMicros();
+  commits_.fetch_add(1, std::memory_order_relaxed);
+  committed_ops_.store(through, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+Status Server::Commit(bool force_snapshot) {
+  Status s = CommitMatches();
+  if (!s.ok()) return s;
+  const uint64_t debt_ops = replay_debt_ops_.load(std::memory_order_relaxed);
+  const uint64_t debt_ns = replay_debt_ns_.load(std::memory_order_relaxed);
+  if (force_snapshot || snapshot_due_ ||
+      (debt_ops > 0 && debt_ns >= snapshot_budget_ns_)) {
+    return WriteSnapshot();
+  }
+  return Status::Ok();
+}
+
+Status Server::WriteSnapshot() {
+  // Temp file, then atomic rename. Must follow the match-log commit of
+  // the same position (S <= W).
+  const Deadline::Clock::time_point start = Deadline::Clock::now();
   uint64_t snapshot_bytes = 0;
   std::string tmp = SnapshotPath() + ".tmp";
   {
@@ -361,7 +411,7 @@ Status Server::Commit() {
       Die("cannot open snapshot temp file");
       return Status::IoError("cannot open snapshot temp file: " + tmp);
     }
-    s = set_.Checkpoint(out);
+    Status s = set_.Checkpoint(out);
     out.flush();
     if (!s.ok() || !out) {
       Die("snapshot write failed");
@@ -382,21 +432,21 @@ Status Server::Commit() {
     Die("snapshot rename failed");
     return Status::IoError("snapshot rename failed: " + ec.message());
   }
+  snapshot_budget_ns_ = NanosSince(start);
+  snapshot_due_ = false;
+  replay_debt_ops_.store(0, std::memory_order_relaxed);
+  replay_debt_ns_.store(0, std::memory_order_relaxed);
   {
     MutexLock lock(state_mu_);
     ++snapshots_;
     snapshot_bytes_ += snapshot_bytes;
-    snapshot_ns_.RecordSeconds(snapshot_watch.ElapsedSeconds());
+    snapshot_ns_.Record(snapshot_budget_ns_);
   }
   if (options_.injector != nullptr &&
       options_.injector->ShouldDieAfterSnapshotRename()) {
     Die("injected death after snapshot rename");
     return Status::IoError("injected death after snapshot rename");
   }
-  pending_matches_.clear();
-  ops_since_commit_ = 0;
-  last_commit_us_ = NowMicros();
-  committed_ops_.store(through, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -427,7 +477,7 @@ void Server::IngestLoop() {
       if (ops_since_commit_ > 0 &&
           now - last_commit_us_ >=
               int64_t{options_.checkpoint_interval_ms} * 1000) {
-        if (!Commit().ok()) return;
+        if (!Commit(/*force_snapshot=*/false).ok()) return;
       }
       continue;
     }
@@ -473,20 +523,19 @@ void Server::IngestLoop() {
       ++ops_since_commit_;
       bool forced = inj != nullptr && inj->ShouldForceCheckpoint();
       if (forced || ops_since_commit_ >= options_.checkpoint_every_ops) {
-        if (!Commit().ok()) return;
+        if (!Commit(forced).ok()) return;
       }
     }
     now = NowMicros();
     if (ops_since_commit_ > 0 &&
         now - last_commit_us_ >=
             int64_t{options_.checkpoint_interval_ms} * 1000) {
-      if (!Commit().ok()) return;
+      if (!Commit(/*force_snapshot=*/false).ok()) return;
     }
   }
 
-  // Graceful exit: stopping_ and the queue is drained.
-  MutexLock reg_lock(reg_mu_);
-  (void)Commit();
+  // Graceful exit: stopping_ and the queue is drained. Shutdown runs the
+  // final commit and snapshot.
 }
 
 Response Server::Submit(uint64_t channel, uint64_t seq,
@@ -601,6 +650,11 @@ Response Server::Stats() {
                   accepted_ops_.load(std::memory_order_relaxed));
   snap.AddCounter("serve.ops_committed",
                   committed_ops_.load(std::memory_order_relaxed));
+  snap.AddCounter("serve.commits", commits_.load(std::memory_order_relaxed));
+  snap.AddCounter("serve.replay_debt_ops",
+                  replay_debt_ops_.load(std::memory_order_relaxed));
+  snap.AddCounter("serve.replay_debt_ns",
+                  replay_debt_ns_.load(std::memory_order_relaxed));
   snap.AddCounter("serve.queue_depth", queue_.Depth());
   snap.AddCounter("serve.queue_cap", queue_.Capacity());
   snap.AddCounter("serve.admitted_ops", queue_.accepted_ops());

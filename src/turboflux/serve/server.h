@@ -48,9 +48,11 @@ struct ServeOptions {
   /// per-op latency for fewer WAL flushes and commits per op.
   size_t widen_batch_window = 512;
 
-  /// Commit (match-log COMMIT + engine snapshot) at least every this many
-  /// evaluated ops and at least this often in wall time — together they
-  /// bound checkpoint lag, and with it the replay work a restart can owe.
+  /// Commit (match-log COMMIT, which makes the ops' matches durable) at
+  /// least every this many evaluated ops and at least this often in wall
+  /// time — together they bound how long a match waits to be durable.
+  /// Snapshots are not on this cadence: they follow a commit on the
+  /// replay budget described in the Server class comment.
   uint64_t checkpoint_every_ops = 512;
   uint32_t checkpoint_interval_ms = 200;
 
@@ -79,28 +81,43 @@ struct ServeOptions {
 
 /// The tfx_serve ingestion daemon core (DESIGN.md §3.12): a
 /// multi::QuerySet fronted by a bounded admission queue, an op journal
-/// (WAL), and a durable match log, with timer-driven checkpoints and
-/// tiered overload degradation.
+/// (WAL), and a durable match log, with timer-driven commits, budgeted
+/// snapshots and tiered overload degradation.
 ///
-/// Durability protocol (exactly-once under kill -9):
-///   * An op is acked only after its WAL record is flushed. Producers
-///     key ops with (channel, seq); the server acks `OK seq`, answers
-///     resends below the durable high-water mark with `DUP`, and rejects
-///     sequence gaps — so any number of retries lands each op once.
-///   * Matches are buffered in memory, tagged with the 0-based WAL index
-///     of the op that produced them, and become durable at commit:
-///     match-log block + COMMIT marker flushed FIRST, engine snapshot
-///     written and atomically renamed SECOND. The order is load-bearing:
-///     a snapshot ahead of the match log would skip replaying ops whose
-///     matches were never persisted (invariant S <= W <= J for snapshot
-///     position, match watermark, journal length).
-///   * Recovery: restore the snapshot (or bind g0), truncate the WAL's
-///     torn tail and the match log past its last complete COMMIT, replay
-///     WAL[S, J) — matches from ops below W are regenerated and
-///     discarded (already durable), matches at or above W are committed
-///     fresh. Deterministic evaluation makes the regenerated stream
-///     identical, which is what the chaos suite's byte-equality check
-///     pins.
+/// Durability protocol (exactly-once under kill -9), over three
+/// positions: J the journal length, W the match-log watermark, S the
+/// snapshot position, with the invariant S <= W <= J.
+///   * An op is acked only after its WAL record is flushed (J advances).
+///     Producers key ops with (channel, seq); the server acks `OK seq`,
+///     answers resends below the durable high-water mark with `DUP`, and
+///     rejects sequence gaps — so any number of retries lands each op
+///     once.
+///   * Commit: matches are buffered in memory, tagged with the 0-based
+///     WAL index of the op that produced them, and become durable when a
+///     match-log block + COMMIT marker is flushed (W advances). That is
+///     all a commit writes; `committed_ops()` is W.
+///   * Snapshot: a QuerySet snapshot written to a temp file and
+///     atomically renamed (S advances). It only ever follows the commit
+///     of the same position: a snapshot ahead of the match log would skip
+///     replaying ops whose matches were never persisted.
+///   * Replay budget: the ingest thread sums the evaluation time of the
+///     ops since S — what a recovery would replay — and snapshots after
+///     a commit once that sum reaches the measured time of the last
+///     snapshot, so the replay a crash owes stays near one snapshot
+///     write. A process that has not yet timed a snapshot (a recovered
+///     one) has a budget of 0: its first commit that owes replay
+///     snapshots and times it. RegisterQuery, a shed or restore under
+///     overload (at the next commit), Shutdown and an injected forced
+///     checkpoint always snapshot, because the WAL does not record
+///     query-set changes.
+///   * Recovery: restore the snapshot (or bind g0 and write the S=0
+///     snapshot), truncate the WAL's torn tail and the match log past its
+///     last complete COMMIT, replay WAL[S, J) — matches from ops below W
+///     are regenerated and discarded (already durable), matches at or
+///     above W are committed fresh, with no snapshot; the replayed ops
+///     stay on the budget's debt. Deterministic evaluation makes the
+///     regenerated stream identical, which is what the chaos suite's
+///     byte-equality check pins.
 ///
 /// Known non-atomicity: RegisterQuery's initial-match report commits
 /// durably before the call returns, but a crash *inside* the call can
@@ -110,8 +127,9 @@ struct ServeOptions {
 class Server {
  public:
   /// Builds a server over `options.data_dir`, running crash recovery if
-  /// the directory holds prior state. `g0` is required for a fresh
-  /// directory (it seeds the graph) and ignored when a snapshot exists.
+  /// the directory holds prior state. `g0` is required for a directory
+  /// without a snapshot (it seeds the graph, and the S=0 snapshot is
+  /// written before returning) and ignored when a snapshot exists.
   [[nodiscard]] static Status Create(const ServeOptions& options,
                                      const Graph* g0,
                                      std::unique_ptr<Server>* out);
@@ -122,9 +140,10 @@ class Server {
 
   /// Registers a standing query. Higher `priority` survives longer under
   /// overload shedding (ties shed together). Reports the query's matches
-  /// against the current graph into the durable match stream and commits
-  /// before returning. Only valid while the ingest thread is stopped or
-  /// between its iterations — internally serialized with evaluation.
+  /// against the current graph into the durable match stream, commits and
+  /// snapshots before returning. Only valid while the ingest thread is
+  /// stopped or between its iterations — internally serialized with
+  /// evaluation.
   [[nodiscard]] Status RegisterQuery(const QueryGraph& q, int priority,
                                      multi::QueryId* id) EXCLUDES(state_mu_);
 
@@ -132,7 +151,7 @@ class Server {
   void Start();
 
   /// Graceful stop: drains the admission queue, evaluates everything,
-  /// runs a final commit, closes files. Idempotent.
+  /// runs a final commit and snapshot, closes files. Idempotent.
   void Shutdown();
 
   /// Chaos stop: abandons queued and in-flight work without committing,
@@ -186,20 +205,34 @@ class Server {
 
   Status Recover(const Graph* g0) EXCLUDES(reg_mu_);
   void IngestLoop() EXCLUDES(reg_mu_);
-  /// Evaluates one admitted op; matches land in pending_matches_.
+  /// Evaluates one admitted op; matches land in pending_matches_ and its
+  /// evaluation time on the replay debt.
   Status EvalOp(const PendingOp& op) REQUIRES(reg_mu_);
-  /// The commit described in the class comment. Ingest thread only.
-  Status Commit() REQUIRES(reg_mu_);
+  /// The commit described in the class comment (W advances). Ingest
+  /// thread only, like the two below.
+  Status CommitMatches() REQUIRES(reg_mu_);
+  /// CommitMatches, then WriteSnapshot when forced, when the query set
+  /// changed since S, or when the replay debt has reached the budget.
+  Status Commit(bool force_snapshot) REQUIRES(reg_mu_);
+  /// Writes, renames and times a snapshot (S advances); the time becomes
+  /// the budget and the debt restarts at 0.
+  Status WriteSnapshot() REQUIRES(reg_mu_);
   /// Marks the server dead after an (injected or real) IO fault, as if
   /// the process had been killed at that exact write.
   void Die(const std::string& reason);
-  void PublishTier(Tier t) { tier_.store(static_cast<uint8_t>(t), std::memory_order_relaxed); }
+  void PublishTier(Tier t) {
+    tier_.store(static_cast<uint8_t>(t), std::memory_order_relaxed);
+  }
   /// Applies shed/restore actions on tier change. Ingest thread only.
   void ApplyTierActions(Tier t) EXCLUDES(reg_mu_, state_mu_);
 
   std::string WalPath() const { return options_.data_dir + "/ops.wal"; }
-  std::string MatchLogPath() const { return options_.data_dir + "/matches.log"; }
-  std::string SnapshotPath() const { return options_.data_dir + "/snapshot.tfxq"; }
+  std::string MatchLogPath() const {
+    return options_.data_dir + "/matches.log";
+  }
+  std::string SnapshotPath() const {
+    return options_.data_dir + "/snapshot.tfxq";
+  }
 
   const ServeOptions options_;
 
@@ -213,6 +246,10 @@ class Server {
   OverloadController overload_{OverloadConfig{}};
   int64_t last_commit_us_ GUARDED_BY(reg_mu_) = 0;
   uint64_t ops_since_commit_ GUARDED_BY(reg_mu_) = 0;
+  /// Measured time of this process's last snapshot; 0 until it has one.
+  uint64_t snapshot_budget_ns_ GUARDED_BY(reg_mu_) = 0;
+  /// A shed or restore changed the query set since S.
+  bool snapshot_due_ GUARDED_BY(reg_mu_) = false;
 
   AdmissionQueue queue_;
 
@@ -228,15 +265,21 @@ class Server {
   CondVar ack_cv_;  // paired with state_mu_; notified outside the lock
   std::map<uint64_t, uint64_t> durable_hw_ GUARDED_BY(state_mu_);
   std::map<multi::QueryId, StandingQuery> queries_ GUARDED_BY(state_mu_);
-  // Snapshot cost per commit (serve.snapshot* in Stats): written by
-  // Commit on the ingest thread, read by Stats on a connection thread.
+  // Snapshot cost (serve.snapshot* in Stats): written by WriteSnapshot on
+  // the ingest thread, read by Stats on a connection thread.
   uint64_t snapshots_ GUARDED_BY(state_mu_) = 0;
   uint64_t snapshot_bytes_ GUARDED_BY(state_mu_) = 0;
   obs::HistogramData snapshot_ns_ GUARDED_BY(state_mu_);
 
   std::atomic<uint8_t> tier_{0};
   std::atomic<uint64_t> accepted_ops_{0};   ///< WAL-durable op count (J)
-  std::atomic<uint64_t> committed_ops_{0};  ///< last commit position (S=W)
+  std::atomic<uint64_t> committed_ops_{0};  ///< match-log watermark (W)
+  std::atomic<uint64_t> commits_{0};
+  // Replay debt: ops evaluated since S and their evaluation time. Written
+  // on the ingest thread only; atomics so Stats reads them without
+  // waiting on a snapshot.
+  std::atomic<uint64_t> replay_debt_ops_{0};
+  std::atomic<uint64_t> replay_debt_ns_{0};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> killed_{false};
   std::atomic<bool> died_{false};

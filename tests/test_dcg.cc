@@ -175,6 +175,24 @@ TEST(Dcg, SnapshotSortedAndComplete) {
             Dcg::EdgeTuple(2, 2, 4, DcgState::kImplicit));
 }
 
+TEST(Dcg, SerializeOrdersNodesByVertexId) {
+  // The same edges populated in opposite orders allocate node slots in
+  // opposite orders; the bytes list nodes by vertex id either way.
+  PathFixture f;
+  Dcg forward;
+  forward.Reset(5, f.tree);
+  forward.SetState(0, 1, 2, DcgState::kImplicit);
+  forward.SetState(3, 1, 4, DcgState::kExplicit);
+  Dcg backward;
+  backward.Reset(5, f.tree);
+  backward.SetState(3, 1, 4, DcgState::kExplicit);
+  backward.SetState(0, 1, 2, DcgState::kImplicit);
+  std::string a, b;
+  forward.Serialize(a);
+  backward.Serialize(b);
+  EXPECT_EQ(a, b);
+}
+
 TEST(Dcg, PerQueryVertexExplicitCounters) {
   PathFixture f;
   Dcg dcg;

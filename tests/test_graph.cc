@@ -253,6 +253,12 @@ TEST(Graph, DeserializeRejectsInconsistentAdjacency) {
       {"duplicate out-entry",
        {{{1, 1}, {1, 1}}, {}, {}},
        {{}, {{0, 1}, {0, 1}}, {}}},
+      // The in-list is a consistent mirror of the edge; only the pair-index
+      // build sees the repeat.
+      {"duplicate out-entry, single in-entry",
+       {{{1, 1}, {1, 1}}, {}, {}},
+       {{}, {{0, 1}}, {}}},
+      {"in-entry missing", {{{1, 1}}, {}, {}}, {{}, {}, {}}},
       // Equal totals; the in-entry sits at vertex 2, where no edge ends.
       {"in-entry with no out mirror", {{{1, 1}}, {}, {}}, {{}, {}, {{0, 1}}}},
       {"label flipped in the in-list only",

@@ -4,7 +4,10 @@
 // snapshot rename, forced mid-batch checkpoints, consumer stalls — after
 // which the durable match stream must be BYTE-EQUAL to a single-process
 // no-fault oracle replay of the same ops. This is the end-to-end pin on
-// the S <= W <= J durability protocol (serve/server.h).
+// the S <= W <= J durability protocol (serve/server.h). Every armed
+// snapshot-rename death must actually fire: with snapshots on a replay
+// budget instead of every commit, a schedule could otherwise stop
+// reaching them and quietly test nothing.
 
 #include <unistd.h>
 
@@ -139,6 +142,16 @@ int RunChaosSchedule(uint64_t seed, const testutil::RandomCase& c,
       injector = std::make_unique<FaultInjector>(plan);
       ServeOptions options = base;
       options.injector = injector.get();
+      // An armed snapshot death needs snapshots: pinning evaluation at
+      // 1 ms/op puts the replay debt of one 7-op commit (7 ms) far over
+      // the budget (one snapshot of this small state, well under a
+      // millisecond unless the disk stalls), so every commit snapshots.
+      // Other cycles evaluate at full speed and snapshot rarely, so
+      // their kills land with S < W.
+      if (plan.die_before_snapshot_rename != 0 ||
+          plan.die_after_snapshot_rename != 0) {
+        options.eval_throttle_us = 1000;
+      }
       server.reset();
       Status s = Server::Create(options, fresh ? &c.g0 : nullptr, &server);
       if (s.ok()) break;
@@ -169,7 +182,15 @@ int RunChaosSchedule(uint64_t seed, const testutil::RandomCase& c,
     return total * static_cast<uint64_t>(k + 1) / (kKillPoints + 2);
   };
 
+  // Called before each incarnation is abandoned.
+  auto expect_armed_snapshot_faults_fired = [&] {
+    EXPECT_TRUE(injector->snapshot_faults_fired())
+        << "seed " << seed << " cycle " << cycle
+        << ": an armed snapshot-rename death never fired";
+  };
+
   auto restart = [&]() -> bool {
+    expect_armed_snapshot_faults_fired();
     ++restarts;
     ++cycle;
     server.reset();  // joins the (dead) ingest thread
@@ -184,7 +205,10 @@ int RunChaosSchedule(uint64_t seed, const testutil::RandomCase& c,
         handle->Submit(std::span<const UpdateOp>(ops.data() + durable, n));
     if (r.kind == Response::Kind::kOk || r.kind == Response::Kind::kDup) {
       durable = r.seq;
-      if (cycle < kKillPoints && durable >= kill_at(cycle)) {
+      // An incarnation with an armed snapshot death runs on until it
+      // fires rather than being killed first.
+      if (cycle < kKillPoints && durable >= kill_at(cycle) &&
+          injector->snapshot_faults_fired()) {
         server->Kill();
         if (!restart()) return restarts;
       }
@@ -198,6 +222,7 @@ int RunChaosSchedule(uint64_t seed, const testutil::RandomCase& c,
 
   // Final cycle: come up clean (no armed faults) and shut down
   // gracefully, so the tail of the stream commits.
+  expect_armed_snapshot_faults_fired();
   server->Kill();
   ++restarts;
   ++cycle;

@@ -17,12 +17,14 @@
 //             [--threads=N]            (query-set evaluation threads)
 //             [--semantics=hom|iso]
 //
-// A fresh --data_dir requires --graph (it seeds the store); on restart
-// the snapshot in the directory wins and --graph and --queries are
-// ignored (the recovered query set is already in the snapshot). Query
-// files are registered in sorted filename order with priority = index
-// (later files shed first under overload). Stop with SIGINT/SIGTERM: the daemon
-// drains the admission queue, commits, and exits 0.
+// A --data_dir without snapshot.tfxq is fresh and requires --graph (it
+// seeds the store, and the first snapshot is written before the daemon
+// listens); on restart the snapshot in the directory wins and --graph is
+// ignored, as is --queries once the snapshot holds a standing query.
+// Query files are registered in sorted filename order with priority =
+// index (later files shed first under overload). Stop with
+// SIGINT/SIGTERM: the daemon drains the admission queue, commits,
+// snapshots, and exits 0.
 //
 // Exit status: 0 clean shutdown, 1 runtime failure, 2 usage/file errors.
 
@@ -84,8 +86,10 @@ int Main(int argc, char** argv) {
   }
 
   namespace fs = std::filesystem;
-  const bool fresh = !fs::exists(fs::path(data_dir) / "snapshot.tfxq") &&
-                     !fs::exists(fs::path(data_dir) / "ops.wal");
+  // A dir is fresh until it holds a snapshot: Server::Create writes the
+  // first one before returning, so a dir with only a journal was killed
+  // inside its first Create and still needs the graph.
+  const bool fresh = !fs::exists(fs::path(data_dir) / "snapshot.tfxq");
   Graph g0;
   if (fresh) {
     if (graph_path.empty()) {
